@@ -83,9 +83,9 @@ class _IdAllocator:
     ``itertools.count`` hands out ids atomically, but :func:`reserve_ids`
     used to *replace* the counter object — a concurrent ``next()`` on the
     old counter could then re-issue an id the replacement also covers.
-    The daemon compiles in worker threads that decode cached RTL (and so
-    reserve foreign id ranges) while other threads allocate, which turns
-    that window into duplicate registers, i.e. silent miscompiles.  One
+    Threads sharing one session decode cached RTL (and so reserve
+    foreign id ranges) while other threads allocate, which turns that
+    window into duplicate registers, i.e. silent miscompiles.  One
     lock per allocation closes it.
     """
 

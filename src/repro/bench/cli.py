@@ -37,8 +37,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Run a named, versioned benchmark set through the "
-        "session / incremental / serve paths with statistical reporting "
-        "and regression gates.",
+        "session / incremental / decode / wpa paths with statistical "
+        "reporting and regression gates.",
     )
     parser.add_argument("--set", dest="set_name", metavar="NAME",
                         help="workload set to run (see --list)")
@@ -57,9 +57,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the wpa path's partitioned "
                         "arm (default: 4, clamped to the machine)")
-    parser.add_argument("--server", default=None, metavar="HOST:PORT",
-                        help="route the serve path through a live repro-serve "
-                        "daemon (default: in-process fallback)")
     parser.add_argument("--format", default="brief",
                         choices=("brief", "full", "csv", "json"),
                         help="stdout rendering (default %(default)s)")
@@ -113,7 +110,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             iterations=args.iterations,
             warmup=args.warmup,
             paths=paths,
-            server=args.server,
             progress=progress,
             wpa_jobs=args.jobs if args.jobs is not None else WPA_BENCH_JOBS,
         )

@@ -17,13 +17,9 @@ iterations after W discarded warmup iterations:
   line-count-preserving edit to ``main`` against a warm session, with
   the invalidation invariant (back-end re-runs *exactly* ``main``)
   checked every iteration.
-* **serve** — request latency through a
-  :class:`~repro.serve.client.RemoteSession` (a live ``repro-serve``
-  daemon when ``server`` is given, the in-process fallback otherwise,
-  so the path always completes).
 * **decode** — codec throughput per blob kind: the hand-packed RTL
-  function codec, the generic :mod:`repro.binfmt` object graph (the
-  serve wire payload), and the linker's persisted summary table, each
+  function codec, the generic :mod:`repro.binfmt` object graph (a whole
+  ``Compilation``), and the linker's persisted summary table, each
   verified on every decode (the ``decode-v1`` microbenchmark).
 * **wpa** — partitioned parallel whole-program back end: cold serial
   (``jobs=1``) vs cold partitioned (``jobs=N, partition=balanced``)
@@ -50,7 +46,7 @@ from .report import Report
 
 __all__ = ["PATHS", "WPA_BENCH_JOBS", "run_set"]
 
-PATHS = ("session", "incremental", "serve", "decode", "wpa")
+PATHS = ("session", "incremental", "decode", "wpa")
 
 #: the deterministic, line-count-preserving edit the incremental path
 #: applies: an unused declaration at the head of ``main``'s body, so
@@ -199,42 +195,6 @@ def _incremental(report: Report, prog: WorkloadProgram, n: int, w: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# serve path
-# ---------------------------------------------------------------------------
-
-def _serve(
-    report: Report,
-    progs: list[WorkloadProgram],
-    n: int,
-    w: int,
-    server: Optional[str],
-) -> dict:
-    from ..serve.client import RemoteSession
-
-    fallback = CompilationSession()
-    # with no daemon given, point at a closed port: the first request
-    # fails fast and every compile rides the in-process fallback, so
-    # the path is always runnable (CI has no daemon)
-    session = RemoteSession(server or "127.0.0.1:1", fallback=fallback)
-    for prog in progs:
-        if prog.multi_unit:
-            continue
-        fname = prog.units[0][0]
-
-        def request():
-            return session.compile(prog.source, fname, _options())
-
-        secs, _ = _observe(request, n, w)
-        metrics.inc("bench.compiles", "serve", n + w)
-        report.add("serve", prog.name, prog.profile, "request_seconds", secs)
-    return {
-        "remote_compiles": session.remote_compiles,
-        "fallback_compiles": session.fallback_compiles,
-        "using_remote": session.using_remote,
-    }
-
-
-# ---------------------------------------------------------------------------
 # decode path
 # ---------------------------------------------------------------------------
 
@@ -244,8 +204,8 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
     Measures, for every single-unit program, the encode and decode cost
     of the two blob kinds the warm path lives on — the hand-packed RTL
     function codec (per-function cache blobs) and the generic
-    :mod:`repro.binfmt` object graph (the serve wire's full
-    ``Compilation`` payload) — plus, for multi-unit programs, the
+    :mod:`repro.binfmt` object graph (a whole
+    ``Compilation``) — plus, for multi-unit programs, the
     linker's persisted summary table.  Each observation covers the whole
     program (all functions), so medians track suite-shaped work, not
     single-blob micronoise.  Every decode is verified against the
@@ -388,7 +348,6 @@ def run_set(
     iterations: int = 3,
     warmup: int = 1,
     paths: tuple[str, ...] = PATHS,
-    server: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     wpa_jobs: int = WPA_BENCH_JOBS,
 ) -> Report:
@@ -440,13 +399,6 @@ def run_set(
             exact += bool(facts["exact_invalidation"])
         if eligible:
             report.facts["incremental.exact_invalidation"] = exact / eligible
-
-    if "serve" in paths:
-        say("serve: all programs")
-        facts = _serve(report, progs, iterations, warmup, server)
-        report.facts["serve.remote_compiles"] = facts["remote_compiles"]
-        report.facts["serve.fallback_compiles"] = facts["fallback_compiles"]
-        report.facts["serve.using_remote"] = facts["using_remote"]
 
     if "decode" in paths:
         say("decode: all programs")

@@ -1,9 +1,9 @@
 """``repro.binfmt`` — the zero-pickle self-describing binary codec.
 
 One codec for every persisted or shipped object graph: session cache
-blobs, ``compile_many`` fan-out payloads, the serve wire, and linker
-summaries.  See :mod:`repro.binfmt.core` for the format and
-:mod:`repro.binfmt.types` for the registry that defines it.
+blobs, ``compile_many`` fan-out payloads, and linker summaries.  See
+:mod:`repro.binfmt.core` for the format and :mod:`repro.binfmt.types`
+for the registry that defines it.
 
 Importing this package registers all types; ``fingerprint()`` then
 identifies the exact registry shape so callers can key storage on it.

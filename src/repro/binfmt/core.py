@@ -2,8 +2,8 @@
 
 ``repro.binfmt`` replaces :mod:`pickle` everywhere the pipeline persists
 or ships Python object graphs: cache blobs (:mod:`repro.driver.session`),
-the serve wire (:mod:`repro.serve`), ``compile_many`` fan-out payloads,
-and linker REF/MOD summaries (:mod:`repro.linker.persist`).  Unlike
+``compile_many`` fan-out payloads, and linker REF/MOD summaries
+(:mod:`repro.linker.persist`).  Unlike
 pickle it can only construct types that were explicitly registered at
 import time, so decoding untrusted bytes can never execute arbitrary
 code — the worst a hostile payload can do is raise

@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100,
                    help="number of random programs (default 100)")
     p.add_argument("--time-budget", type=float, default=0.0, metavar="SECONDS",
-                   help="stop early after this many seconds (0 = no limit)")
+                   help="stop early after this many seconds (0 = no limit;"
+                        " not with --jobs in normal mode)")
     p.add_argument("--matrix", choices=["quick", "full"], default="quick",
                    help="configuration matrix to run each program under")
     p.add_argument("--gen", choices=["small", "medium", "large", "mixed"],
@@ -82,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         " (--wp only): none (serial), 1to1, or balanced;"
                         " every seed then doubles as a partitioned-vs-"
                         "serial parity probe (default none)")
-    p.add_argument("--server", metavar="HOST:PORT",
-                   help="route matrix compiles through a running repro-serve"
-                        " daemon, sharing its hot cache (normal serial mode"
-                        " only; falls back in-process if unreachable)")
     p.add_argument("--crash-dir", default="crashes", metavar="DIR",
                    help="directory for reduced reproducers (default crashes/)")
     p.add_argument("--no-reduce", action="store_true",
@@ -187,13 +184,6 @@ def run_fuzz(args: argparse.Namespace, out=None) -> int:
     if getattr(args, "jobs", 1) != 1:
         return _run_fuzz_batch(args, out)
     matrix = build_matrix(args.matrix)
-    compile_fn = None
-    remote = None
-    if getattr(args, "server", None):
-        from ..serve.client import RemoteSession
-
-        remote = RemoteSession(args.server)
-        compile_fn = remote.compile
     deadline = time.monotonic() + args.time_budget if args.time_budget else None
     ran = 0
     failing: list[DiffResult] = []
@@ -205,9 +195,7 @@ def run_fuzz(args: argparse.Namespace, out=None) -> int:
                 break
             seed = args.seed + k
             source = generate(seed, _config_for(args, k))
-            res = run_differential(
-                source, seed=seed, matrix=matrix, compile_fn=compile_fn
-            )
+            res = run_differential(source, seed=seed, matrix=matrix)
             ran += 1
             if not res.ok:
                 failing.append(res)
@@ -232,16 +220,9 @@ def run_fuzz(args: argparse.Namespace, out=None) -> int:
                 print(f"  {ran}/{args.count} programs clean", file=out)
 
     verdict = "FAIL" if failing else "ok"
-    via = ""
-    if remote is not None:
-        via = (
-            f" via {args.server}"
-            if remote.using_remote
-            else f" ({args.server} unreachable; ran in-process)"
-        )
     print(
         f"repro-fuzz: {ran} programs x {len(matrix)} configs"
-        f" ({args.matrix} matrix){via}: {len(failing)} failing -> {verdict}",
+        f" ({args.matrix} matrix): {len(failing)} failing -> {verdict}",
         file=out,
     )
     return 1 if failing else 0
@@ -454,14 +435,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.count < 1:
         print("--count must be >= 1", file=sys.stderr)
         return 2
-    if args.server and (
-        args.inject or args.incremental or args.wp or args.jobs != 1
-    ):
-        print(
-            "--server applies to normal serial fuzzing only"
-            " (not --inject/--incremental/--wp/--jobs)",
-            file=sys.stderr,
-        )
+    normal = not (args.inject or args.incremental or args.wp)
+    if normal and args.jobs != 1 and args.time_budget:
+        # the batch fan-out dispatches every seed up front, so a budget
+        # could not stop it early
+        print("--time-budget applies to serial fuzzing only (not --jobs)",
+              file=sys.stderr)
         return 2
     if args.partition != "none" and not args.wp:
         print("--partition requires --wp", file=sys.stderr)

@@ -198,20 +198,9 @@ def run_differential(
     seed: Optional[int] = None,
     matrix: Optional[list[MatrixConfig]] = None,
     filename: str = "<fuzz>",
-    compile_fn=None,
 ) -> DiffResult:
-    """Run one program through the full differential harness.
-
-    ``compile_fn(source, filename, options) -> Compilation`` replaces the
-    in-process :func:`compile_source` when given — ``repro-fuzz --server``
-    passes a :class:`~repro.serve.client.RemoteSession` bound method here
-    so the matrix compiles ride a shared daemon cache.  Every check
-    downstream only reads the returned :class:`Compilation`, so the two
-    paths are interchangeable.
-    """
+    """Run one program through the full differential harness."""
     matrix = matrix if matrix is not None else build_matrix("quick")
-    if compile_fn is None:
-        compile_fn = lambda src, fn, options: compile_source(src, fn, options=options)  # noqa: E731
     result = DiffResult(seed=seed, source=source)
     _metrics.inc("difftest.programs")
 
@@ -231,7 +220,7 @@ def run_differential(
         for mc in matrix:
             with _trace.span("difftest.config", config=mc.name):
                 try:
-                    comp = compile_fn(source, filename, mc.to_options())
+                    comp = compile_source(source, filename, options=mc.to_options())
                 except Exception:
                     result.add("compile-crash", mc.name, _trim(traceback.format_exc()))
                     continue

@@ -341,8 +341,8 @@ class _LazyFrontEnd(FrontEndInfo):
     chunk; nothing on the warm path reads it (the per-function blobs
     carry everything the back end needs), so the decode cost — the
     single largest deserialization in the old manifest format — is
-    deferred until a consumer (the serve wire, reports, whole-program
-    linking) actually touches ``program`` / ``table`` / ``units`` / ….
+    deferred until a consumer (reports, whole-program linking) actually
+    touches ``program`` / ``table`` / ``units`` / ….
     """
 
     def __getstate__(self):
@@ -632,11 +632,10 @@ class CompilationSession:
 
     Safe for concurrent use from multiple threads: the in-memory LRU,
     the :class:`SessionStats` counters, and the disk-budget enforcement
-    are all guarded by one reentrant lock (``repro-serve`` hammers one
-    session from a worker pool).  The lock is *not* held across pipeline
-    work — two threads cold-compiling the same key may both compute and
-    both store, which is wasteful but correct (stores are idempotent;
-    the daemon's request coalescer removes the waste where it matters).
+    are all guarded by one reentrant lock.  The lock is *not* held
+    across pipeline work — two threads cold-compiling the same key may
+    both compute and both store, which is wasteful but correct (stores
+    are idempotent).
     """
 
     def __init__(
@@ -1255,12 +1254,13 @@ class CompilationSession:
         with _trace.span("session.compile_many", jobs=len(normalized), workers=workers):
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_compile_worker, cache_dir, job)
+                    pool.submit(_compile_worker, cache_dir, self.max_disk_bytes, job)
                     for job in normalized
                 ]
                 results = [f.result() for f in futures]
         for comp in results:
             self._absorb_remote(comp)
+        self._enforce_disk_budget()
         return results
 
     def _compile_job(self, job: CompileJob) -> Compilation:
@@ -1363,6 +1363,7 @@ class CompilationSession:
                             pool.submit(
                                 _compile_partition_worker,
                                 cache_dir,
+                                self.max_disk_bytes,
                                 [job for _, job in pending],
                             ),
                             pi,
@@ -1383,6 +1384,7 @@ class CompilationSession:
                 _metrics.inc("session.partition.fallback")
                 for ji, job in pending:
                     results[pi][ji] = self._compile_job(job)
+            self._enforce_disk_budget()
         return results
 
     def _compile_many_functions(self, normalized, cap: int) -> list[Compilation]:
@@ -1538,30 +1540,40 @@ def _backend_fn_worker(payload: bytes) -> bytes:
     )
 
 
-#: Per-worker-process sessions, keyed by cache dir (fork-safe lazily built).
-_WORKER_SESSIONS: dict[Optional[str], CompilationSession] = {}
+#: Per-worker-process sessions, keyed by cache dir and disk budget
+#: (fork-safe lazily built).
+_WORKER_SESSIONS: dict[tuple[Optional[str], Optional[int]], CompilationSession] = {}
 
 
-def _worker_session(cache_dir: Optional[str]) -> CompilationSession:
-    sess = _WORKER_SESSIONS.get(cache_dir)
+def _worker_session(
+    cache_dir: Optional[str], max_disk_bytes: Optional[int]
+) -> CompilationSession:
+    key = (cache_dir, max_disk_bytes)
+    sess = _WORKER_SESSIONS.get(key)
     if sess is None:
-        sess = _WORKER_SESSIONS[cache_dir] = CompilationSession(cache_dir=cache_dir)
+        sess = _WORKER_SESSIONS[key] = CompilationSession(
+            cache_dir=cache_dir, max_disk_bytes=max_disk_bytes
+        )
     return sess
 
 
-def _compile_worker(cache_dir: Optional[str], job: CompileJob) -> Compilation:
-    return _worker_session(cache_dir)._compile_job(job)
+def _compile_worker(
+    cache_dir: Optional[str], max_disk_bytes: Optional[int], job: CompileJob
+) -> Compilation:
+    return _worker_session(cache_dir, max_disk_bytes)._compile_job(job)
 
 
 def _compile_partition_worker(
-    cache_dir: Optional[str], jobs: Sequence[CompileJob]
+    cache_dir: Optional[str],
+    max_disk_bytes: Optional[int],
+    jobs: Sequence[CompileJob],
 ) -> list[Compilation]:
     """Compile one partition's jobs serially inside a worker process."""
     if os.environ.get("REPRO_TEST_KILL_WORKER"):
         # Deterministic crash hook for the worker-death fallback test:
         # die without unwinding, like an OOM kill would.
         os._exit(17)
-    sess = _worker_session(cache_dir)
+    sess = _worker_session(cache_dir, max_disk_bytes)
     return [sess._compile_job(job) for job in jobs]
 
 

@@ -245,11 +245,11 @@ def _speedup_worker(job: tuple) -> dict:
     """Module-level (picklable) fan-out worker: time one benchmark.
 
     Each worker process builds its own session over the shared disk
-    cache, so the four compiles inside ``time_benchmark`` still share
-    one front end even across the pool.
+    cache, under the parent's disk budget, so the four compiles inside
+    ``time_benchmark`` still share one front end even across the pool.
     """
-    name, cache_dir = job
-    sess = CompilationSession(cache_dir=cache_dir)
+    name, cache_dir, max_disk_bytes = job
+    sess = CompilationSession(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
     return _speedup_row(time_benchmark(by_name(name), sess))
 
 
@@ -260,9 +260,10 @@ def _collect_speedups(
         cache_dir = str(session.cache_dir) if session.cache_dir else None
         rows = parallel_map(
             _speedup_worker,
-            [(b.name, cache_dir) for b in BENCHMARKS],
+            [(b.name, cache_dir, session.max_disk_bytes) for b in BENCHMARKS],
             max_workers=jobs,
         )
+        session._enforce_disk_budget()
         report.speedups.extend(rows)
         return
     for b in BENCHMARKS:
@@ -394,7 +395,6 @@ def validate(
     cache_dir: str | None = None,
     cache_max_bytes: int | None = None,
     include_whole_program: bool = False,
-    server: str | None = None,
     partition: str = "none",
 ) -> ValidationReport:
     """Run the full validation; writes ``RESULTS.json`` and returns the report.
@@ -410,20 +410,9 @@ def validate(
     over a process pool (``0`` = one worker per core) and, together
     with ``partition``, schedules the whole-program phase's parallel
     back end.
-
-    ``server`` (``HOST:PORT``) routes compilations through a running
-    ``repro-serve`` daemon instead, sharing its hot cache with every
-    other client; if the daemon is unreachable the run degrades to the
-    in-process session and still completes.
     """
     report = ValidationReport()
-    local = CompilationSession(cache_dir=cache_dir, max_disk_bytes=cache_max_bytes)
-    if server is not None:
-        from ..serve.client import RemoteSession
-
-        session = RemoteSession(server, fallback=local)
-    else:
-        session = local
+    session = CompilationSession(cache_dir=cache_dir, max_disk_bytes=cache_max_bytes)
 
     def phase(name: str, fn) -> None:
         t0 = perf_counter()
@@ -468,13 +457,6 @@ def validate(
         "session_cache": session.stats.to_dict(),
         "elapsed_seconds": round(perf_counter() - report.started, 1),
     }
-    if server is not None:
-        payload["server"] = {
-            "spec": server,
-            "remote_compiles": session.remote_compiles,
-            "fallback_compiles": session.fallback_compiles,
-            "using_remote": session.using_remote,
-        }
     with open(out_path, "w") as f:
         json.dump(payload, f, indent=2)
     print(f"\nwrote {out_path}")
@@ -552,13 +534,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache shared across phases, workers, and reruns",
     )
     parser.add_argument(
-        "--server",
-        default=None,
-        metavar="HOST:PORT",
-        help="route compilations through a running repro-serve daemon "
-        "(falls back in-process if unreachable)",
-    )
-    parser.add_argument(
         "--cache-max-bytes",
         type=int,
         default=None,
@@ -569,6 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cache_max_bytes is not None and not args.cache_dir:
         parser.error("--cache-max-bytes requires --cache-dir")
+    if args.partition != "none" and not args.whole_program:
+        parser.error("--partition requires --whole-program")
     report = validate(
         include_speedups=not args.quick,
         out_path=args.out,
@@ -578,7 +555,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
         include_whole_program=args.whole_program,
-        server=args.server,
         partition=args.partition,
     )
     return 0 if report.all_passed else 1

@@ -93,14 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requires --cache-dir)",
     )
     p.add_argument(
-        "--server",
-        default=None,
-        metavar="HOST:PORT",
-        help="also query a running repro-serve daemon's stats endpoint and "
-        "fold its serving counters (queue depth, rejections, coalesced "
-        "hits, cache tiers) into the output; workloads become optional",
-    )
-    p.add_argument(
         "--format",
         choices=("chrome", "stats", "text"),
         default="text",
@@ -164,109 +156,12 @@ def run_workloads(specs: list[BenchmarkSpec], args: argparse.Namespace) -> None:
                     model.time(res.trace)
 
 
-def fetch_server_stats(spec: str) -> dict:
-    """One ``stats`` round-trip against a running repro-serve daemon."""
-    from ..serve.client import ServeClient, parse_server_spec
-
-    host, port = parse_server_spec(spec)
-    with ServeClient(host, port, timeout=10.0) as client:
-        return client.stats()
-
-
-def ingest_server_stats(stats: dict) -> None:
-    """Fold a daemon stats payload into the local metrics registry.
-
-    Counters land under ``serve.*`` / ``serve.session.*`` and latency
-    summaries become gauges, so every ``--format`` sees them through the
-    normal exporters (requires the registry to be enabled).
-    """
-    from . import metrics
-
-    for key in ("queue_depth", "inflight", "uptime_seconds"):
-        metrics.gauge(f"serve.{key}", float(stats.get(key, 0)))
-    metrics.gauge("serve.draining", 1.0 if stats.get("draining") else 0.0)
-    for name, value in stats.get("counters", {}).items():
-        if isinstance(value, dict):  # per-op breakdowns, e.g. "requests"
-            for op, n in value.items():
-                metrics.add(f"serve.{name}.{op}", int(n))
-        else:
-            metrics.add(f"serve.{name}", int(value))
-    for name, value in stats.get("session_cache", {}).items():
-        metrics.add(f"serve.session.{name}", int(value))
-    for op, summary in stats.get("latency_ms", {}).items():
-        for stat in ("mean", "p50", "p95", "max"):
-            if summary.get(stat) is not None:
-                metrics.gauge(f"serve.latency_ms.{op}.{stat}", float(summary[stat]))
-        metrics.add(f"serve.latency_ms.{op}.count", int(summary.get("count", 0)))
-
-
-def _server_counter_events(stats: dict) -> list[dict]:
-    """Chrome ``"C"`` (counter) events for the daemon's live load state."""
-    return [
-        {
-            "name": f"serve.{key}",
-            "ph": "C",
-            "ts": 0,
-            "pid": 2,
-            "tid": 1,
-            "args": {key: stats.get(key, 0)},
-        }
-        for key in ("queue_depth", "inflight")
-    ] + [
-        {
-            "name": f"serve.counters.{name}",
-            "ph": "C",
-            "ts": 0,
-            "pid": 2,
-            "tid": 1,
-            "args": {name: value},
-        }
-        for name, value in stats.get("counters", {}).items()
-        if not isinstance(value, dict)
-    ]
-
-
-def _server_text_section(spec: str, stats: dict) -> str:
-    lines = [f"repro-serve @ {spec}"]
-    lines.append(f"  uptime      {stats.get('uptime_seconds', 0):.1f}s"
-                 f"  draining={stats.get('draining', False)}")
-    lines.append(f"  load        queue_depth={stats.get('queue_depth', 0)}"
-                 f" inflight={stats.get('inflight', 0)}")
-    c = stats.get("counters", {})
-    reqs = c.get("requests", {})
-    total = sum(reqs.values()) if isinstance(reqs, dict) else reqs
-    lines.append(f"  requests    total={total} ok={c.get('ok', 0)}"
-                 f" errors={c.get('errors', 0)} rejected={c.get('rejected', 0)}"
-                 f" timeouts={c.get('timeouts', 0)}")
-    lines.append(f"  coalescing  pipeline_runs={c.get('pipeline_runs', 0)}"
-                 f" coalesced_hits={c.get('coalesced_hits', 0)}")
-    sc = stats.get("session_cache", {})
-    lines.append(f"  cache       hits_memory={sc.get('hits_memory', 0)}"
-                 f" hits_disk={sc.get('hits_disk', 0)}"
-                 f" misses={sc.get('misses', 0)}")
-    for op, h in stats.get("latency_ms", {}).items():
-        lines.append(f"  latency     {op}: n={h.get('count', 0)}"
-                     f" p50={h.get('p50', 0):.1f}ms p95={h.get('p95', 0):.1f}ms")
-    return "\n".join(lines)
-
-
-def render(fmt: str, server_spec: str | None = None,
-           server_stats: dict | None = None) -> str:
+def render(fmt: str) -> str:
     if fmt == "chrome":
-        doc = export.chrome_trace()
-        if server_stats is not None:
-            doc["traceEvents"].extend(_server_counter_events(server_stats))
-        return json.dumps(doc, indent=2)
+        return json.dumps(export.chrome_trace(), indent=2)
     if fmt == "stats":
-        doc = export.stats_snapshot()
-        if server_stats is not None:
-            doc["server"] = server_stats
-        return json.dumps(doc, indent=2)
-    text = export.text_tree()
-    if server_stats is not None:
-        section = _server_text_section(server_spec or "?", server_stats)
-        text = f"{text}\n\n{section}" if text else section
-    return text
+        return json.dumps(export.stats_snapshot(), indent=2)
+    return export.text_tree()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -277,28 +172,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.cache_max_bytes is not None and not args.cache_dir:
         parser.error("--cache-max-bytes requires --cache-dir")
     obs.reset()
-    server_stats = None
     try:
         specs = _workloads(args)
-        if not specs and not args.server:
-            parser.error("nothing to compile: pass files, --suite, "
-                         "--benchmark, or --server")
+        if not specs:
+            parser.error("nothing to compile: pass files, --suite, or --benchmark")
         with obs.enabled_scope():
             run_workloads(specs, args)
-            if args.server:
-                from ..serve.client import ServerError, ServerUnavailable
-
-                try:
-                    server_stats = fetch_server_stats(args.server)
-                except (ServerError, ServerUnavailable) as exc:
-                    print(f"repro-stats: error: {exc}", file=sys.stderr)
-                    return 2
-                ingest_server_stats(server_stats)
     except (OSError, KeyError, CompileError) as exc:
         print(f"repro-stats: error: {exc}", file=sys.stderr)
         return 2
 
-    text = render(args.format, args.server, server_stats)
+    text = render(args.format)
     if args.out == "-":
         print(text)
     else:

@@ -46,7 +46,7 @@ _enabled: bool = False
 #: Serializes registry mutations.  Acquired only *after* the enabled
 #: check, so the disabled fast path stays a single boolean test; the
 #: read-modify-write updates below are not atomic under free-threaded
-#: access, and the repro-serve worker pool mutates from many threads.
+#: access, and threads sharing one session mutate it concurrently.
 _lock = threading.Lock()
 
 _counters: dict[str, int] = {}

@@ -64,7 +64,7 @@ _epoch: float = 0.0
 _roots: list["Span"] = []
 
 #: Currently open spans, innermost last — **per thread**, so concurrent
-#: compiles (the repro-serve worker pool) nest their own spans correctly
+#: compiles (threads sharing one session) nest their own spans correctly
 #: instead of parenting under whichever span another thread has open.
 _tls = threading.local()
 

@@ -4,9 +4,9 @@ point (the ``bench`` marker lane: ``pytest -m bench tests/bench``).
 Two families:
 
 * the standalone harnesses (``bench_pipeline``, ``bench_incremental``,
-  ``bench_wpa``, ``bench_serve``) are imported and driven through their
-  ``main()`` with the smallest argument set — one repeat, one seed,
-  ``--quick`` — asserting a zero exit and a well-formed JSON artifact;
+  ``bench_wpa``) are imported and driven through their ``main()`` with
+  the smallest argument set — one repeat, one seed — asserting a zero
+  exit and a well-formed JSON artifact;
 * the pytest-benchmark suites are exercised through a subprocess pytest
   with one cheap selection each and ``--benchmark-disable``, so the
   timing loop collapses to a single call (guarded on the plugin being
@@ -74,13 +74,6 @@ class TestStandaloneHarnesses:
         doc = _json_at(out)
         assert doc["workloads"]
         assert doc["total_call_dep_wp"] <= doc["total_call_dep_pf"]
-
-    def test_bench_serve(self, tmp_path):
-        out = tmp_path / "serve.json"
-        assert _load("bench_serve").main(["--quick", "--out", str(out)]) == 0
-        doc = _json_at(out)
-        assert doc["failures"] == []
-        assert doc["daemon_exit_code"] == 0
 
     def test_decode_path_gates(self, tmp_path):
         # one-iteration decode-v1 run through the real CLI, gated

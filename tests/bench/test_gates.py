@@ -31,7 +31,7 @@ def _report() -> Report:
     r.add("session", "p1", "pointer", "warm_speedup", [6.0])
     r.add("session", "q0", "float", "warm_speedup", [2.0])
     r.facts["session.warm_hit_ratio"] = 1.0
-    r.facts["serve.using_remote"] = False
+    r.facts["decode.roundtrip_ok"] = True
     return r
 
 
@@ -87,7 +87,7 @@ class TestGateEvaluation:
 
     def test_boolean_fact_rejected(self):
         with pytest.raises(GateError):
-            evaluate(_report(), [Gate("fact", "serve.using_remote", "==", 0.0)])
+            evaluate(_report(), [Gate("fact", "decode.roundtrip_ok", "==", 1.0)])
 
     def test_result_dict_shape(self):
         (res,) = evaluate(_report(), [Gate("session", "warm_speedup", ">=", 1.0,
@@ -132,15 +132,15 @@ class TestCliExitContract:
     """Drive the real CLI on the smallest set: the exit codes are API."""
 
     ARGS = ["--set", "quick-v1", "--iterations", "1", "--warmup", "0",
-            "--paths", "serve", "--quiet"]
+            "--paths", "decode", "--quiet"]
 
     def test_seeded_regression_exits_1(self, tmp_path, capsys):
         baseline = tmp_path / "quick-v1.json"
         baseline.write_text(json.dumps({
             "set": "quick-v1",
-            "gates": [{"path": "serve", "metric": "request_seconds",
+            "gates": [{"path": "decode", "metric": "rtl_decode_seconds",
                        "op": "<=", "value": 0.0,
-                       "why": "impossible on purpose: compile time cannot be 0"}],
+                       "why": "impossible on purpose: decode time cannot be 0"}],
         }))
         assert cli.main(self.ARGS + ["--gate", str(baseline)]) == EXIT_REGRESSION
         assert "FAILED" in capsys.readouterr().err
@@ -149,7 +149,7 @@ class TestCliExitContract:
         baseline = tmp_path / "quick-v1.json"
         baseline.write_text(json.dumps({
             "set": "quick-v1",
-            "gates": [{"path": "serve", "metric": "request_seconds",
+            "gates": [{"path": "decode", "metric": "rtl_decode_seconds",
                        "op": ">", "value": 0.0}],
         }))
         out = tmp_path / "report.json"

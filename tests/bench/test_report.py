@@ -21,7 +21,7 @@ def _report() -> Report:
     r.add("session", "p0", "pointer", "cold_seconds", [0.2, 0.3, 0.4])
     r.add("session", "p1", "pointer", "cold_seconds", [0.6, 0.8, 1.0])
     r.add("session", "q0", "float", "cold_seconds", [0.1, 0.1, 0.1])
-    r.add("serve", "p0", "pointer", "request_seconds", [0.05])
+    r.add("decode", "p0", "pointer", "rtl_decode_seconds", [0.05])
     r.facts["session.warm_hit_ratio"] = 1.0
     return r
 
@@ -44,7 +44,7 @@ class TestAggregation:
 
     def test_paths_and_metrics_sorted(self):
         r = _report()
-        assert r.paths() == ["serve", "session"]
+        assert r.paths() == ["decode", "session"]
         assert r.metrics("session") == ["cold_seconds"]
 
     def test_add_rejects_empty_values(self):

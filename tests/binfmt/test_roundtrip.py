@@ -4,7 +4,7 @@ Every blob kind the warm path persists or ships gets a round-trip
 check over fuzzer-generated programs (:mod:`repro.difftest.gen`): RTL
 functions (the hand-packed :mod:`~repro.binfmt.rtlcodec` layout),
 ``UnitInfo`` analysis artifacts, the per-function stats slices, whole
-``Compilation`` objects (the serve wire payload), and the linker's
+``Compilation`` objects (the decode-v1 object blobs), and the linker's
 persisted summary tables.  Comparison is structural — set-valued fields
 may re-iterate in a different order, so byte equality is deliberately
 not the contract.
@@ -147,7 +147,7 @@ class TestStatsCodecs:
 
 
 class TestCompilationCodec:
-    """The serve wire ships whole Compilation graphs."""
+    """Whole Compilation graphs round-trip (the decode-v1 object blobs)."""
 
     def test_round_trip(self, fuzzed):
         back = binfmt.decode(binfmt.encode(fuzzed))

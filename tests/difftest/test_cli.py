@@ -53,6 +53,12 @@ def test_bad_count_rejected(capsys):
     assert cli.main(["--count", "0"]) == 2
 
 
+def test_time_budget_with_jobs_rejected(capsys):
+    # the batch fan-out cannot stop early, so the budget would be ignored
+    assert cli.main(["--count", "4", "--jobs", "2", "--time-budget", "1"]) == 2
+    assert "--time-budget" in capsys.readouterr().err
+
+
 def test_failing_program_is_reduced_and_persisted(tmp_path, monkeypatch):
     """End to end through main(): arm a fault so a real failure flows
     through reduction into the crash directory and exits non-zero."""

@@ -70,6 +70,22 @@ class TestCompileMany:
         )
 
 
+class TestDiskBudgetAcrossWorkers:
+    BUDGET = 40_000
+
+    @pytest.mark.parametrize("pool", ["file", "partitions"])
+    def test_pool_batch_respects_disk_budget(self, tmp_path, pool):
+        cache = tmp_path / "c"
+        sess = CompilationSession(cache_dir=cache, max_disk_bytes=self.BUDGET)
+        jobs = _jobs(6)
+        if pool == "file":
+            sess.compile_many(jobs, max_workers=2, granularity="file")
+        else:
+            sess.compile_partitions([jobs[:3], jobs[3:]], max_workers=2)
+        on_disk = sum(p.stat().st_size for p in cache.rglob("*.hlic"))
+        assert 0 < on_disk <= self.BUDGET
+
+
 class TestParallelMap:
     def test_preserves_order(self):
         items = list(range(10))

@@ -1,11 +1,10 @@
 """Concurrent use of one CompilationSession from many threads.
 
-The repro-serve daemon runs every pipeline op on a worker pool that
-shares a single hot session, so the session's cache tiers and stats
-counters must survive concurrent mutation.  These tests hammer one
-session from many threads and assert the invariants the daemon relies
-on: stats add up exactly, results are alpha-equivalent to a serial
-compile, and nothing raises :class:`CacheCorruption`.
+A session is safe to share between threads, so its cache tiers and
+stats counters must survive concurrent mutation.  These tests hammer
+one session from many threads and assert the invariants a shared
+session promises: stats add up exactly, results are alpha-equivalent
+to a serial compile, and nothing raises :class:`CacheCorruption`.
 """
 
 from __future__ import annotations

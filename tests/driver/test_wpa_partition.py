@@ -7,8 +7,7 @@ alpha-equivalent, ``DepStats`` equal, whole-program lint verdicts
 (HLI009-HLI012) equal, and the canonical encoding of the merged image
 byte-identical.  (Raw RTL bytes are process-history-dependent — reg/uid
 ids come from global atomic counters — so "identical bytes" is asserted
-on the canonical alpha-renamed form, the same encoding the serve
-daemon's ``program_digest`` hashes.)
+on the canonical alpha-renamed form produced by ``canonical_rtl``.)
 
 Worker death must never lose work: ``REPRO_TEST_KILL_WORKER`` makes
 every pool worker exit immediately, and the batch must still complete

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import repro.driver.validate as validate_mod
 from repro.driver.validate import Claim, ValidationReport, main, validate
 
@@ -54,3 +56,10 @@ class TestExitCode:
     def test_main_zero_when_all_pass(self, monkeypatch):
         self._stub(monkeypatch, passed=True)
         assert main(["--quick", "--no-lint"]) == 0
+
+    def test_partition_without_whole_program_exits_2(self, monkeypatch, capsys):
+        self._stub(monkeypatch, passed=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "--partition", "balanced"])
+        assert exc.value.code == 2
+        assert "--partition requires --whole-program" in capsys.readouterr().err
