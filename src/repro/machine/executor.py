@@ -11,11 +11,18 @@ The machine is 32-bit MIPS-like: byte-addressed memory, C-style
 truncating integer division, wrap-around 32-bit integer arithmetic.
 External functions (printf, getchar, sqrt, malloc, ...) are serviced by
 built-in handlers so SPEC-shaped workloads run without an OS.
+
+Each function is decoded once per run, on its first call, into a flat
+table (:func:`_decode`): branch targets become indices, registers and
+immediates become slots of a list frame, the ALU operation is picked
+per opcode and ``is_float``, and every instruction without a memory
+address gets one :class:`TraceEvent` that all of its executions share.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +31,8 @@ from ..obs import metrics, trace
 
 
 class ExecutionError(Exception):
-    """Raised on runtime faults (bad opcode, step-limit, missing function)."""
+    """Raised on runtime faults (bad opcode, step-limit, missing function,
+    branch to an undefined label)."""
 
 
 class _ExitProgram(Exception):
@@ -32,9 +40,15 @@ class _ExitProgram(Exception):
         self.code = code
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One executed instruction, with its resolved memory address (if any)."""
+    """One executed instruction, with its resolved memory address (if any).
+
+    Events are immutable because the executor shares them: every
+    execution of an instruction without a memory address appends the
+    same event object, so a trace holds one object per static
+    instruction plus one per executed load or store.
+    """
 
     insn: Insn
     addr: Optional[int] = None
@@ -67,6 +81,157 @@ def _cmod(a: int, b: int) -> int:
     return a - _cdiv(a, b) * b
 
 
+#: Two-operand integer operations (and the comparisons, which ignore
+#: ``is_float``).  Integer division by zero raises ``ZeroDivisionError``,
+#: which the run loop reports as an :class:`ExecutionError`.
+_BINARY = {
+    Opcode.ADD: lambda a, b: _s32(int(a + b)),
+    Opcode.SUB: lambda a, b: _s32(int(a - b)),
+    Opcode.MUL: lambda a, b: _s32(int(a * b)),
+    Opcode.DIV: lambda a, b: _s32(_cdiv(int(a), int(b))),
+    Opcode.MOD: lambda a, b: _s32(_cmod(int(a), int(b))),
+    Opcode.AND: lambda a, b: _s32(int(a) & int(b)),
+    Opcode.OR: lambda a, b: _s32(int(a) | int(b)),
+    Opcode.XOR: lambda a, b: _s32(int(a) ^ int(b)),
+    Opcode.SHL: lambda a, b: _s32(int(a) << (int(b) & 31)),
+    Opcode.SHR: lambda a, b: _s32(int(a) >> (int(b) & 31)),
+    Opcode.SLT: lambda a, b: 1 if a < b else 0,
+    Opcode.SLE: lambda a, b: 1 if a <= b else 0,
+    Opcode.SEQ: lambda a, b: 1 if a == b else 0,
+    Opcode.SNE: lambda a, b: 1 if a != b else 0,
+}
+_FLOAT_BINARY = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.DIV: lambda a, b: a / b if b != 0 else math.inf,
+}
+_UNARY = {
+    Opcode.NEG: lambda a: _s32(-int(a)),
+    Opcode.NOT: lambda a: _s32(~int(a)),
+    Opcode.CVT_IF: float,
+    Opcode.CVT_FI: lambda a: _s32(int(a)),
+}
+_FLOAT_UNARY = {Opcode.NEG: operator.neg}
+
+# Kinds of decoded instruction, in the order the run loop tests them
+# (most frequent first).  Every table entry is
+# ``(kind, event, a, b, c, d)``; the operand meaning per kind is given
+# in :func:`_decode`.  ``_END`` and ``_NO_LABEL`` are not instructions:
+# they sit after the last one, take no step, and are numbered last so
+# the step-limit test can skip them with one comparison.
+(_BINARY_OP, _SET, _SKIP, _MOVE, _BEQZ, _BNEZ, _LOAD, _STORE, _J, _UNARY_OP,
+ _CALL, _RET, _FAULT, _END, _NO_LABEL) = range(15)
+
+
+@dataclass(frozen=True, slots=True)
+class _Code:
+    """One function decoded for execution."""
+
+    name: str
+    table: list[tuple]
+    #: initial register frame: 0 per register slot, the value per immediate
+    frame: list[object]
+    param_slots: list[int]
+
+
+def _decode(fn: RTLFunction, program: RTLProgram) -> _Code:
+    """Translate ``fn`` into a flat instruction table.
+
+    Entries by kind (``ev`` is the instruction's shared event; loads and
+    stores carry the instruction instead, since each execution gets its
+    own event with the address):
+
+    * ``_SET``: ``a`` slot := constant ``b`` (LI, LA, MOVE of an immediate)
+    * ``_MOVE``: ``a`` := slot ``b``
+    * ``_BINARY_OP`` / ``_UNARY_OP``: ``a`` := ``b(slot c[, slot d])``
+    * ``_LOAD``: ``a`` := memory at slot ``b``, default ``c``
+    * ``_STORE``: memory at slot ``b`` := slot ``a``
+    * ``_J``: jump to index ``a``; ``_BEQZ`` / ``_BNEZ``: test slot ``a``,
+      jump to index ``b``
+    * ``_CALL``: ``a`` := call ``b`` on slots ``c`` (``a`` may be None)
+    * ``_RET``: return slot ``a`` (0 when None)
+    * ``_FAULT`` / ``_NO_LABEL``: raise with message ``a``
+    """
+    frame: list[object] = []
+    reg_slots: dict[int, int] = {}
+
+    def slot(operand) -> int:
+        if isinstance(operand, Reg):
+            s = reg_slots.get(operand.rid)
+            if s is None:
+                s = reg_slots[operand.rid] = len(frame)
+                frame.append(0)
+            return s
+        frame.append(operand)
+        return len(frame) - 1
+
+    labels = fn.labels()
+    n = len(fn.insns)
+    #: undefined branch label -> index of its _NO_LABEL entry
+    missing: dict[str, int] = {}
+
+    def target(label: str) -> int:
+        idx = labels.get(label)
+        if idx is None:
+            idx = missing.setdefault(label, n + 1 + len(missing))
+        return idx
+
+    table: list[tuple] = []
+    for insn in fn.insns:
+        op = insn.op
+        ev = TraceEvent(insn)
+        if op is Opcode.LABEL or op is Opcode.NOP:
+            entry: tuple = (_SKIP, None, None, None, None, None)
+        elif op is Opcode.LI:
+            entry = (_SET, ev, slot(insn.dst), insn.imm, None, None)
+        elif op is Opcode.LA:
+            layout = program.globals_layout.get(insn.symbol)
+            if layout is None:
+                entry = (_FAULT, ev, f"unknown symbol '{insn.symbol}'", None, None, None)
+            else:
+                entry = (_SET, ev, slot(insn.dst), layout[0], None, None)
+        elif op is Opcode.MOVE:
+            src = insn.srcs[0]
+            if isinstance(src, Reg):
+                entry = (_MOVE, ev, slot(insn.dst), slot(src), None, None)
+            else:
+                entry = (_SET, ev, slot(insn.dst), src, None, None)
+        elif op is Opcode.LOAD:
+            default = 0.0 if insn.is_float else 0
+            entry = (_LOAD, insn, slot(insn.dst), slot(insn.mem.addr), default, None)
+        elif op is Opcode.STORE:
+            entry = (_STORE, insn, slot(insn.srcs[0]), slot(insn.mem.addr), None, None)
+        elif op is Opcode.J:
+            entry = (_J, ev, target(insn.label), None, None, None)
+        elif op is Opcode.BEQZ or op is Opcode.BNEZ:
+            kind = _BEQZ if op is Opcode.BEQZ else _BNEZ
+            entry = (kind, ev, slot(insn.srcs[0]), target(insn.label), None, None)
+        elif op is Opcode.CALL:
+            dst = slot(insn.dst) if insn.dst is not None else None
+            args = tuple(slot(s) for s in insn.srcs)
+            entry = (_CALL, ev, dst, insn.callee, args, None)
+        elif op is Opcode.RET:
+            ret = slot(fn.ret_reg) if fn.ret_reg is not None else None
+            entry = (_RET, ev, ret, None, None, None)
+        elif op in _UNARY:
+            fun = (_FLOAT_UNARY if insn.is_float else _UNARY).get(op, _UNARY[op])
+            entry = (_UNARY_OP, ev, slot(insn.dst), fun, slot(insn.srcs[0]), None)
+        elif op in _BINARY:
+            fun = (_FLOAT_BINARY if insn.is_float else _BINARY).get(op, _BINARY[op])
+            b = insn.srcs[1] if len(insn.srcs) > 1 else None
+            entry = (_BINARY_OP, ev, slot(insn.dst), fun, slot(insn.srcs[0]), slot(b))
+        else:  # pragma: no cover - every Opcode is handled above
+            entry = (_FAULT, ev, f"unhandled opcode {op}", None, None, None)
+        table.append(entry)
+    table.append((_END, None, None, None, None, None))
+    for label in missing:
+        message = f"branch to undefined label '{label}' in {fn.name}"
+        table.append((_NO_LABEL, None, message, None, None, None))
+    params = [slot(reg) for reg in fn.param_regs]
+    return _Code(fn.name, table, frame, params)
+
+
 class Executor:
     """Interpret an RTL program."""
 
@@ -88,6 +253,8 @@ class Executor:
         self.output: list[str] = []
         self._heap_next = 0x4000000
         self._rand_state = 12345
+        #: function name -> its decoded table, filled on first call
+        self._code: dict[str, _Code] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -116,140 +283,101 @@ class Executor:
         handler = _EXTERNALS.get(name)
         if handler is not None:
             return handler(self, args)
-        fn = self.program.functions.get(name)
-        if fn is None:
-            raise ExecutionError(f"call to unknown function '{name}'")
-        return self._run_function(fn, args)
+        code = self._code.get(name)
+        if code is None:
+            fn = self.program.functions.get(name)
+            if fn is None:
+                raise ExecutionError(f"call to unknown function '{name}'")
+            code = self._code[name] = _decode(fn, self.program)
+        return self._run(code, args)
 
-    def _run_function(self, fn: RTLFunction, args: tuple) -> object:
-        regs: dict[int, object] = {}
-        for reg, val in zip(fn.param_regs, args):
-            regs[reg.rid] = val
-        labels = fn.labels()
-        insns = fn.insns
-        pc = 0
-        n = len(insns)
+    def _run(self, code: _Code, args: tuple) -> object:
+        regs = code.frame.copy()
+        for s, val in zip(code.param_slots, args):
+            regs[s] = val
+        table = code.table
         mem = self.memory
-        trace = self.trace
+        append = self.trace.append
         collect = self.collect_trace
-        while pc < n:
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise ExecutionError(f"step limit exceeded in {fn.name}")
-            insn = insns[pc]
-            op = insn.op
-            addr: Optional[int] = None
-            if op is Opcode.LABEL or op is Opcode.NOP:
-                pc += 1
-                continue
-            if op is Opcode.LI:
-                regs[insn.dst.rid] = insn.imm
-            elif op is Opcode.MOVE:
-                regs[insn.dst.rid] = self._val(regs, insn.srcs[0])
-            elif op is Opcode.LA:
-                addr_v = self.program.globals_layout.get(insn.symbol)
-                if addr_v is None:
-                    raise ExecutionError(f"unknown symbol '{insn.symbol}'")
-                regs[insn.dst.rid] = addr_v[0]
-            elif op is Opcode.LOAD:
-                addr = self._val(regs, insn.mem.addr)
-                regs[insn.dst.rid] = mem.get(addr, 0.0 if insn.is_float else 0)
-            elif op is Opcode.STORE:
-                addr = self._val(regs, insn.mem.addr)
-                mem[addr] = self._val(regs, insn.srcs[0])
-            elif op is Opcode.J:
-                if collect:
-                    trace.append(TraceEvent(insn))
-                pc = labels[insn.label]
-                continue
-            elif op is Opcode.BEQZ or op is Opcode.BNEZ:
-                cond = self._val(regs, insn.srcs[0])
-                taken = (cond == 0) if op is Opcode.BEQZ else (cond != 0)
-                if collect:
-                    trace.append(TraceEvent(insn))
-                if taken:
-                    pc = labels[insn.label]
+        limit = self.max_steps
+        steps = self.steps
+        pc = 0
+        try:
+            while True:
+                kind, ev, a, b, c, d = table[pc]
+                steps += 1
+                if steps > limit and kind < _END:
+                    self.steps = steps
+                    raise ExecutionError(f"step limit exceeded in {code.name}")
+                if kind is _BINARY_OP:
+                    regs[a] = b(regs[c], regs[d])
+                elif kind is _SET:
+                    regs[a] = b
+                elif kind is _SKIP:
+                    pc += 1
                     continue
-                pc += 1
-                continue
-            elif op is Opcode.CALL:
+                elif kind is _MOVE:
+                    regs[a] = regs[b]
+                elif kind is _BEQZ:
+                    if collect:
+                        append(ev)
+                    pc = b if regs[a] == 0 else pc + 1
+                    continue
+                elif kind is _BNEZ:
+                    if collect:
+                        append(ev)
+                    pc = b if regs[a] != 0 else pc + 1
+                    continue
+                elif kind is _LOAD:
+                    addr = regs[b]
+                    regs[a] = mem.get(addr, c)
+                    if collect:
+                        append(TraceEvent(ev, addr))
+                    pc += 1
+                    continue
+                elif kind is _STORE:
+                    addr = regs[b]
+                    mem[addr] = regs[a]
+                    if collect:
+                        append(TraceEvent(ev, addr))
+                    pc += 1
+                    continue
+                elif kind is _J:
+                    if collect:
+                        append(ev)
+                    pc = a
+                    continue
+                elif kind is _UNARY_OP:
+                    regs[a] = b(regs[c])
+                elif kind is _CALL:
+                    if collect:
+                        append(ev)
+                    self.steps = steps
+                    result = self._call(b, tuple([regs[s] for s in c]))
+                    steps = self.steps
+                    if a is not None:
+                        regs[a] = result
+                    pc += 1
+                    continue
+                elif kind is _RET:
+                    if collect:
+                        append(ev)
+                    self.steps = steps
+                    return regs[a] if a is not None else 0
+                elif kind is _END:
+                    self.steps = steps - 1
+                    return 0
+                else:  # _FAULT, _NO_LABEL
+                    raise ExecutionError(a)
                 if collect:
-                    trace.append(TraceEvent(insn))
-                call_args = tuple(self._val(regs, s) for s in insn.srcs)
-                result = self._call(insn.callee, call_args)
-                if insn.dst is not None:
-                    regs[insn.dst.rid] = result
+                    append(ev)
                 pc += 1
-                continue
-            elif op is Opcode.RET:
-                if collect:
-                    trace.append(TraceEvent(insn))
-                if fn.ret_reg is not None and fn.ret_reg.rid in regs:
-                    return regs[fn.ret_reg.rid]
-                return 0
-            else:
-                regs[insn.dst.rid] = self._alu(insn, regs)
-            if collect:
-                trace.append(TraceEvent(insn, addr))
-            pc += 1
-        return 0
-
-    @staticmethod
-    def _val(regs: dict[int, object], src) -> object:
-        if isinstance(src, Reg):
-            return regs.get(src.rid, 0)
-        return src
-
-    def _alu(self, insn: Insn, regs: dict[int, object]) -> object:
-        op = insn.op
-        a = self._val(regs, insn.srcs[0])
-        b = self._val(regs, insn.srcs[1]) if len(insn.srcs) > 1 else None
-        if op is Opcode.ADD:
-            r = a + b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.SUB:
-            r = a - b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.MUL:
-            r = a * b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.DIV:
-            if insn.is_float:
-                return a / b if b != 0 else math.inf
-            if b == 0:
-                raise ExecutionError(f"integer division by zero at line {insn.line}")
-            return _s32(_cdiv(int(a), int(b)))
-        if op is Opcode.MOD:
-            if b == 0:
-                raise ExecutionError(f"integer modulo by zero at line {insn.line}")
-            return _s32(_cmod(int(a), int(b)))
-        if op is Opcode.NEG:
-            return -a if insn.is_float else _s32(-int(a))
-        if op is Opcode.NOT:
-            return _s32(~int(a))
-        if op is Opcode.AND:
-            return _s32(int(a) & int(b))
-        if op is Opcode.OR:
-            return _s32(int(a) | int(b))
-        if op is Opcode.XOR:
-            return _s32(int(a) ^ int(b))
-        if op is Opcode.SHL:
-            return _s32(int(a) << (int(b) & 31))
-        if op is Opcode.SHR:
-            return _s32(int(a) >> (int(b) & 31))
-        if op is Opcode.SLT:
-            return 1 if a < b else 0
-        if op is Opcode.SLE:
-            return 1 if a <= b else 0
-        if op is Opcode.SEQ:
-            return 1 if a == b else 0
-        if op is Opcode.SNE:
-            return 1 if a != b else 0
-        if op is Opcode.CVT_IF:
-            return float(a)
-        if op is Opcode.CVT_FI:
-            return _s32(int(a))
-        raise ExecutionError(f"unhandled opcode {op}")  # pragma: no cover
+        except ZeroDivisionError:
+            kind, ev = table[pc][:2]
+            if kind is not _BINARY_OP:
+                raise
+            what = "division" if ev.insn.op is Opcode.DIV else "modulo"
+            raise ExecutionError(f"integer {what} by zero at line {ev.insn.line}") from None
 
     # -- externals ----------------------------------------------------------------
 

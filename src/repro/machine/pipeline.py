@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backend.rtl import Opcode
+from ..backend.rtl import Insn, Opcode
 from ..obs import metrics, trace
 from .executor import TraceEvent
 from .latencies import r4600_latency
@@ -64,32 +64,52 @@ class R4600Model:
         ready: dict[int, int] = {}
         clock = 0
         count = 0
-        penalty = self.branch_penalty
         cache = self.cache
         if cache is not None:
             cache.reset()
+        #: id(insn) -> (source rids, destination rid, latency, stall after
+        #: issue, probes the cache), or None for a label
+        records: dict[int, tuple | None] = {}
         for ev in trace:
             insn = ev.insn
-            op = insn.op
-            if op is Opcode.LABEL:
+            try:
+                rec = records[id(insn)]
+            except KeyError:
+                rec = records[id(insn)] = self._record(insn)
+            if rec is None:
                 continue
+            srcs, dst, lat, after, probe = rec
             count += 1
             issue = clock + 1
-            for src in insn.src_regs():
-                t = ready.get(src.rid, 0)
+            for rid in srcs:
+                t = ready.get(rid, 0)
                 if t > issue:
                     issue = t
             extra = 0
-            if cache is not None and insn.mem is not None and ev.addr is not None:
+            if probe and ev.addr is not None:
                 extra = cache.penalty(ev.addr)
-            if insn.dst is not None:
-                ready[insn.dst.rid] = issue + r4600_latency(insn) + extra
+            if dst is not None:
+                ready[dst] = issue + lat + extra
             elif extra:
                 issue += extra  # a missing store occupies the bus
-            if op in _BRANCHES:
-                issue += penalty
-            elif op is Opcode.CALL:
-                # Pipeline drain on call boundaries.
-                issue += 1
-            clock = issue
+            clock = issue + after
         return TimingResult(cycles=clock, instructions=count)
+
+    def _record(self, insn: Insn) -> tuple | None:
+        """The timing facts of one static instruction."""
+        op = insn.op
+        if op is Opcode.LABEL:
+            return None
+        if op in _BRANCHES:
+            after = self.branch_penalty
+        elif op is Opcode.CALL:
+            after = 1  # pipeline drain on call boundaries
+        else:
+            after = 0
+        return (
+            tuple(r.rid for r in insn.src_regs()),
+            insn.dst.rid if insn.dst is not None else None,
+            r4600_latency(insn),
+            after,
+            self.cache is not None and insn.mem is not None,
+        )

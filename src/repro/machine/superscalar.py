@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backend.rtl import Opcode
+from ..backend.rtl import Insn, Opcode
 from ..obs import metrics, trace
 from .executor import TraceEvent
 from .latencies import r10000_latency
 from .pipeline import TimingResult
 
 _BRANCHES = {Opcode.J, Opcode.BEQZ, Opcode.BNEZ}
+
+#: Instruction kinds the timing loop treats differently.
+_OTHER, _LOAD, _STORE, _CALL = range(4)
 
 
 @dataclass
@@ -58,6 +61,9 @@ class R10000Model:
 
     def _time(self, trace: list[TraceEvent]) -> TimingResult:
         cfg = self.config
+        width = cfg.width
+        window_size = cfg.window
+        store_queue = cfg.store_queue
         cache = self.cache
         if cache is not None:
             cache.reset()
@@ -70,17 +76,24 @@ class R10000Model:
         fetched_this_cycle = 0
         clock_last_retire = 0
         count = 0
+        #: id(insn) -> (source rids, destination rid, latency, kind, probes
+        #: the cache), or None for a label
+        records: dict[int, tuple | None] = {}
         for ev in trace:
             insn = ev.insn
-            op = insn.op
-            if op is Opcode.LABEL:
+            try:
+                rec = records[id(insn)]
+            except KeyError:
+                rec = records[id(insn)] = self._record(insn)
+            if rec is None:
                 continue
+            srcs, dst, lat, kind, probe = rec
             count += 1
             # ---- fetch: 4-wide, in-order, window-limited -------------------
-            if fetched_this_cycle >= cfg.width:
+            if fetched_this_cycle >= width:
                 fetch_cycle += 1
                 fetched_this_cycle = 0
-            if len(window) >= cfg.window:
+            if len(window) >= window_size:
                 # stall fetch until the oldest instruction retires
                 oldest = window.pop(0)
                 if oldest > fetch_cycle:
@@ -90,15 +103,14 @@ class R10000Model:
 
             # ---- issue ------------------------------------------------------
             issue = fetch_cycle + 1
-            for src in insn.src_regs():
-                t = ready.get(src.rid, 0)
+            for rid in srcs:
+                t = ready.get(rid, 0)
                 if t > issue:
                     issue = t
-            lat = r10000_latency(insn)
-            if cache is not None and insn.mem is not None and ev.addr is not None:
+            if probe and ev.addr is not None:
                 lat += cache.penalty(ev.addr)
 
-            if op is Opcode.LOAD and cfg.store_queue:
+            if kind is _LOAD and store_queue:
                 # The load waits until all preceding stores have resolved
                 # addresses; a same-address store additionally forwards data.
                 for s_addr, s_aready, s_dready in stores:
@@ -107,24 +119,22 @@ class R10000Model:
                     if ev.addr is not None and s_addr == ev.addr and s_dready > issue:
                         issue = s_dready
             complete = issue + lat
-            if op is Opcode.STORE:
+            if kind is _STORE:
                 addr_ready = issue
                 data_ready = issue + 1
                 stores.append((ev.addr if ev.addr is not None else -1, addr_ready, data_ready))
-                if len(stores) > cfg.window:
+                if len(stores) > window_size:
                     stores.pop(0)
-            elif op is Opcode.CALL:
+            elif kind is _CALL:
                 # Serialize at call boundaries (the real machine drains the
                 # store queue and mispredicts returns often enough).
                 stores.clear()
                 if clock_last_retire > issue:
                     issue = clock_last_retire
                 complete = issue + lat
-            elif op in _BRANCHES:
-                complete = issue + cfg.branch_penalty
 
-            if insn.dst is not None:
-                ready[insn.dst.rid] = complete
+            if dst is not None:
+                ready[dst] = complete
             # retire tracking: in-order retirement means completion order
             # can't regress below the previous retire cycle.
             if complete < clock_last_retire:
@@ -132,6 +142,30 @@ class R10000Model:
             clock_last_retire = complete
             window.append(complete)
             # age out stores whose data is long done
-            if stores and stores[0][2] <= fetch_cycle - cfg.window:
+            if stores and stores[0][2] <= fetch_cycle - window_size:
                 stores.pop(0)
         return TimingResult(cycles=clock_last_retire, instructions=count)
+
+    def _record(self, insn: Insn) -> tuple | None:
+        """The timing facts of one static instruction.  A branch completes
+        ``branch_penalty`` cycles after issue, so that is its latency."""
+        op = insn.op
+        if op is Opcode.LABEL:
+            return None
+        lat = r10000_latency(insn)
+        kind = _OTHER
+        if op is Opcode.LOAD:
+            kind = _LOAD
+        elif op is Opcode.STORE:
+            kind = _STORE
+        elif op is Opcode.CALL:
+            kind = _CALL
+        elif op in _BRANCHES:
+            lat = self.config.branch_penalty
+        return (
+            tuple(r.rid for r in insn.src_regs()),
+            insn.dst.rid if insn.dst is not None else None,
+            lat,
+            kind,
+            self.cache is not None and insn.mem is not None,
+        )

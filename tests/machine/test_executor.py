@@ -1,10 +1,13 @@
 """Functional executor tests: arithmetic semantics, control flow, externals."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CompileOptions, compile_source
+from repro.backend.rtl import Insn, Opcode, RTLFunction, RTLProgram, new_reg
 from repro.machine.executor import ExecutionError, execute
 
 
@@ -93,6 +96,31 @@ class TestControlFlow:
         src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }"
         assert run(src, "fib", (12,)).ret == 144
 
+    def test_taken_branch_to_undefined_label_raises(self):
+        cond = new_reg()
+        for branch in (
+            Insn(Opcode.J, label="nowhere"),
+            Insn(Opcode.BNEZ, srcs=(cond,), label="nowhere"),
+        ):
+            fn = RTLFunction(
+                "f", insns=[Insn(Opcode.LI, dst=cond, imm=1), branch, Insn(Opcode.RET)]
+            )
+            with pytest.raises(ExecutionError, match="undefined label 'nowhere' in f"):
+                execute(RTLProgram(functions={"f": fn}), "f")
+
+    def test_untaken_branch_to_undefined_label_runs_on(self):
+        cond = new_reg()
+        fn = RTLFunction(
+            "f",
+            insns=[
+                Insn(Opcode.LI, dst=cond, imm=1),
+                Insn(Opcode.BEQZ, srcs=(cond,), label="nowhere"),
+                Insn(Opcode.RET),
+            ],
+            ret_reg=cond,
+        )
+        assert execute(RTLProgram(functions={"f": fn}), "f").ret == 1
+
     def test_step_limit(self):
         comp = compile_source(
             "int main() { while (1) { } return 0; }", "inf.c", CompileOptions()
@@ -179,6 +207,34 @@ class TestTrace:
         assert res.trace
         addrs = [ev.addr for ev in res.trace if ev.insn.mem is not None]
         assert len(set(addrs)) == 1  # both refs hit g's address
+
+    def test_loop_shares_one_event_per_static_instruction(self):
+        src = "int a[8];\nint f() { int i, s; s = 0; for (i = 0; i < 8; i++) s += a[i]; return s; }"
+        comp = compile_source(src, "t.c", CompileOptions(schedule=False))
+        res = execute(comp.rtl, "f")
+        events: dict[int, list] = {}
+        for ev in res.trace:
+            events.setdefault(id(ev.insn), []).append(ev)
+        assert max(len(evs) for evs in events.values()) >= 8  # the loop ran
+        loads = []
+        for evs in events.values():
+            if evs[0].insn.mem is None:
+                assert all(ev is evs[0] for ev in evs)
+                assert evs[0].addr is None
+            else:
+                assert len({id(ev) for ev in evs}) == len(evs)
+                if evs[0].insn.op is Opcode.LOAD and len(evs) == 8:
+                    loads = [ev.addr for ev in evs]
+        base = comp.rtl.globals_layout["a"][0]
+        assert loads == [base + 4 * i for i in range(8)]
+
+    def test_events_are_immutable(self):
+        src = "int g;\nint f() { g = 1; return g; }"
+        comp = compile_source(src, "t.c", CompileOptions(schedule=False))
+        res = execute(comp.rtl, "f")
+        for ev in (res.trace[0], next(ev for ev in res.trace if ev.addr is not None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                ev.addr = 0
 
     def test_trace_disabled(self):
         src = "int f() { return 1; }"
