@@ -32,8 +32,8 @@ Back-end passes that act on one function at a time declare
 unit through a *units provider* (``PassManager(units=...)``).  On a cold
 compile the provider yields every function; on an incremental recompile
 the session narrows it to the invalidated set, so unchanged functions'
-passes are skipped entirely — the pipeline schedules at function, not
-file, granularity.
+passes are skipped entirely — the pipeline schedules per function, not
+per file.
 """
 
 from __future__ import annotations

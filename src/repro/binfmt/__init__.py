@@ -1,7 +1,7 @@
-"""``repro.binfmt`` — the zero-pickle self-describing binary codec.
+"""``repro.binfmt`` — the self-describing binary codec for persisted blobs.
 
-One codec for every persisted or shipped object graph: session cache
-blobs, ``compile_many`` fan-out payloads, and linker summaries.  See
+One codec for every persisted object graph: session cache blobs and
+linker summaries (pool-worker results are pickled, never persisted).  See
 :mod:`repro.binfmt.core` for the format and :mod:`repro.binfmt.types`
 for the registry that defines it.
 

@@ -1,9 +1,10 @@
-"""Self-describing binary object codec — the zero-pickle interchange layer.
+"""Self-describing binary object codec for every persisted object graph.
 
 ``repro.binfmt`` replaces :mod:`pickle` everywhere the pipeline persists
-or ships Python object graphs: cache blobs (:mod:`repro.driver.session`),
-``compile_many`` fan-out payloads, and linker REF/MOD summaries
-(:mod:`repro.linker.persist`).  Unlike
+Python object graphs: cache blobs (:mod:`repro.driver.session`) and
+linker REF/MOD summaries (:mod:`repro.linker.persist`).  (Results a
+session's own pool workers return are still pickled; they are never
+persisted.)  Unlike
 pickle it can only construct types that were explicitly registered at
 import time, so decoding untrusted bytes can never execute arbitrary
 code — the worst a hostile payload can do is raise

@@ -1,10 +1,10 @@
-"""Compilation sessions: function-grained artifact caching + parallel fan-out.
+"""Compilation sessions: per-function artifact caching + parallel fan-out.
 
 The paper's whole premise is *separate compilation*: the front end
 writes each source file's HLI once and the back end re-uses it across
 builds (Section 3.2.1).  A :class:`CompilationSession` exercises that
 story end-to-end — and, since the HLI is a *per-unit* format (one entry
-per function), the cache is keyed at **function granularity**:
+per function), the cache is keyed **per function**:
 
 * a **manifest** blob per (source, filename, front-end fingerprint) —
   a fixed-layout key table (function name, front-end key, frame layout)
@@ -25,12 +25,14 @@ per function), the cache is keyed at **function granularity**:
   warm function skips the back end *without ever touching the
   front-end tier*.
 
-All payloads beyond the raw binio tables ride the self-describing
-:mod:`repro.binfmt` codec — **no pickle anywhere**: a corrupted or
+Every persisted payload beyond the raw binio tables rides the
+self-describing :mod:`repro.binfmt` codec, never pickle: a corrupted or
 malicious blob can only ever produce registered types or a clean
 :class:`CacheCorruption`.  The codec registry's fingerprint is stamped
 into every frame header *and* folded into every cache key, so a codec
-change retires stale blobs by eviction instead of decode errors.
+change retires stale blobs by eviction instead of decode errors.  (The
+:class:`Compilation` results this process's own pool workers hand back
+are pickled; they never reach the disk tier.)
 
 On a manifest miss the session parses, fingerprints every function, and
 splices cached functions around the edited ones — probing the back-end
@@ -48,12 +50,12 @@ tier shards entries git-object style (``ab/cdef….hlic``), migrates
 legacy flat files on first touch, and enforces an optional size budget
 by least-recently-used eviction (``max_disk_bytes``).
 
-``compile_many`` fans a batch out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  With more files than
-workers it parallelizes per file (each worker shares the on-disk tier);
-with spare workers it parallelizes per *function* — the front ends run
-in-process and every invalidated function's back end becomes one pool
-task, so parallelism scales with program size rather than file count.
+``compile_partitions`` fans partitions of jobs out through
+:func:`parallel_map`, the driver's one process pool: jobs whose manifest
+is already cached compile in this process, the rest run one pool task
+per partition (every worker shares the on-disk tier), and if a worker
+dies the batch's pooled jobs recompile here.  ``compile_many`` is the
+same dispatcher over one-job partitions.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ import os
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -346,9 +349,9 @@ class _LazyFrontEnd(FrontEndInfo):
     """
 
     def __getstate__(self):
-        # Compilations cross process-pool boundaries (file-granularity
-        # fan-out); the stats callback must not travel — the blob does,
-        # so the receiver stays lazy.
+        # Pool workers hand compilations back pickled; the stats
+        # callback must not travel — the blob does, so the receiver
+        # stays lazy.
         state = dict(self.__dict__)
         state.pop("_lazy_notify", None)
         return state
@@ -600,25 +603,6 @@ def _decode_fn_be(data: bytes, want_unit: bool = False):
         raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
 
 
-# -- one prepared compile ------------------------------------------------------
-
-
-@dataclass
-class _Prepared:
-    """A compile whose front end is resolved but whose suffix has not run."""
-
-    comp: Compilation
-    opts: CompileOptions
-    prefix: list[Pass]
-    suffix: list[Pass]
-    stats: PipelineStats
-    fe_keys: dict[str, str]
-    #: functions the back-end passes must actually run over
-    active: list[str]
-    #: analysis units for the active functions (feeds back-end stores)
-    units: dict[str, UnitInfo] = field(default_factory=dict)
-
-
 # -- the session ---------------------------------------------------------------
 
 
@@ -826,81 +810,49 @@ class CompilationSession:
             with _trace.span(
                 "session.compile", file=filename, mode=opts.mode.value
             ) as span:
-                prep = self._prepare(
-                    key,
-                    source,
-                    filename,
-                    opts,
-                    prefix,
-                    suffix,
-                    external_effects=external_effects,
-                    extra_salt=extra_salt,
-                )
-                self._run_suffix(prep)
-                span.set(cache=prep.comp.cache_state)
-                return prep.comp
-
-    def _prepare(
-        self,
-        key,
-        source,
-        filename,
-        opts,
-        prefix,
-        suffix,
-        external_effects=None,
-        extra_salt="",
-    ) -> _Prepared:
-        """Resolve the front end (cache or compile), back-end tier first."""
-        blob, tier = self._lookup(key)
-        man = None
-        if blob is not None:
-            try:
-                man = _decode_manifest(blob)
-            except CacheCorruption as exc:
-                self._evict_corrupt(key, tier, str(exc))
-        restored = None
-        if man is not None:
-            restored = self._restore_manifest(
-                man,
-                key,
-                tier,
-                blob,
-                source,
-                filename,
-                opts,
-                prefix,
-                suffix,
-                external_effects,
-            )
-        if restored is not None:
-            comp, stats, fe_keys, fn_states, active, units = restored
-        else:
-            self._bump("misses")
-            _metrics.inc("session.cache.miss")
-            comp, stats, fe_keys, fn_states, active, units = (
-                self._frontend_incremental(
-                    key,
-                    source,
-                    filename,
-                    opts,
-                    prefix,
-                    suffix,
-                    external_effects=external_effects,
-                    extra_salt=extra_salt,
-                )
-            )
-        comp.fn_cache_states = fn_states
-        return _Prepared(
-            comp=comp,
-            opts=opts,
-            prefix=list(prefix),
-            suffix=list(suffix),
-            stats=stats,
-            fe_keys=fe_keys,
-            active=active,
-            units=units,
-        )
+                blob, tier = self._lookup(key)
+                man = None
+                if blob is not None:
+                    try:
+                        man = _decode_manifest(blob)
+                    except CacheCorruption as exc:
+                        self._evict_corrupt(key, tier, str(exc))
+                restored = None
+                if man is not None:
+                    restored = self._restore_manifest(
+                        man,
+                        key,
+                        tier,
+                        blob,
+                        source,
+                        filename,
+                        opts,
+                        prefix,
+                        suffix,
+                        external_effects,
+                    )
+                if restored is None:
+                    self._bump("misses")
+                    _metrics.inc("session.cache.miss")
+                    restored = self._frontend_incremental(
+                        key,
+                        source,
+                        filename,
+                        opts,
+                        prefix,
+                        suffix,
+                        external_effects=external_effects,
+                        extra_salt=extra_salt,
+                    )
+                comp, stats, fe_keys, fn_states, active, units = restored
+                comp.fn_cache_states = fn_states
+                ctx = PassContext(comp=comp, opts=opts, active_units=active)
+                initial = sorted({a for p in prefix for a in p.provides})
+                make_manager(suffix).run(ctx, initial=initial, stats=stats)
+                comp.pipeline_stats = stats
+                self._store_backend(ctx, suffix, fe_keys, units)
+                span.set(cache=comp.cache_state)
+                return comp
 
     def _restore_manifest(
         self,
@@ -1177,25 +1129,24 @@ class CompilationSession:
             comp.opt_stats.licm.merge(opt_frag.licm)
             comp.opt_stats.unroll.merge(opt_frag.unroll)
 
-    def _run_suffix(self, prep: _Prepared) -> None:
-        """Run the back-end suffix over the active units, then store them."""
-        ctx = PassContext(comp=prep.comp, opts=prep.opts, active_units=prep.active)
-        initial = sorted({a for p in prep.prefix for a in p.provides})
-        make_manager(prep.suffix).run(ctx, initial=initial, stats=prep.stats)
-        prep.comp.pipeline_stats = prep.stats
-        self._store_backend(prep, ctx)
-
-    def _store_backend(self, prep: _Prepared, ctx: PassContext) -> None:
-        if not self.reuse_backend or not prep.active:
+    def _store_backend(
+        self,
+        ctx: PassContext,
+        suffix: Sequence[Pass],
+        fe_keys: dict[str, str],
+        units: dict[str, UnitInfo],
+    ) -> None:
+        """Store the finished back-end artifacts of every active unit."""
+        if not self.reuse_backend or not ctx.active_units:
             return
-        if not any(p.per_function for p in prep.suffix):
+        if not any(p.per_function for p in suffix):
             return
-        comp = prep.comp
-        backend_fp = _backend_fp(prep.suffix)
-        for name in prep.active:
+        comp = ctx.comp
+        backend_fp = _backend_fp(suffix)
+        for name in ctx.active_units:
             entry = comp.hli.entries.get(name)
             fn = comp.rtl.functions.get(name)
-            fe_key = prep.fe_keys.get(name)
+            fe_key = fe_keys.get(name)
             if entry is None or fn is None or fe_key is None:
                 continue
             blob = _encode_fn_be(
@@ -1204,64 +1155,28 @@ class CompilationSession:
                 comp.map_stats.get(name),
                 comp.dep_stats.get(name),
                 ctx.fn_opt_stats.get(name),
-                unit=prep.units.get(name),
+                unit=units.get(name),
             )
-            self._store(_be_key(fe_key, prep.opts, backend_fp), blob, kind="be")
+            self._store(_be_key(fe_key, ctx.opts, backend_fp), blob, kind="be")
 
     # -- batch / parallel ------------------------------------------------------
 
     def compile_many(
         self,
-        jobs: Sequence[tuple],
+        jobs: Sequence,
         max_workers: Optional[int] = None,
-        granularity: str = "auto",
     ) -> list[Compilation]:
         """Compile a batch of ``(source, filename[, options])`` jobs.
 
-        Fan-out happens at one of two granularities:
-
-        * ``"file"`` — one pool task per job; every worker process runs
-          the whole pipeline and shares this session's on-disk tier (the
-          in-memory tier is per-process).
-        * ``"function"`` — the front ends run in this process (through
-          the cache) and every *invalidated function's* back end becomes
-          one pool task, so a single large file still saturates the pool.
-
-        ``"auto"`` picks per-function when there are spare workers
-        (fewer jobs than workers), per-file otherwise.  Results come
+        Each job is its own partition of :meth:`compile_partitions`, so
+        warm jobs compile in this process, cold ones run one pool task
+        per job, and a dead worker's jobs recompile here.  Results come
         back in job order.  ``max_workers=None`` uses
         :func:`resolve_workers` (the ``REPRO_JOBS`` environment
         variable, else one worker per core).
         """
-        normalized = [_normalize_job(j) for j in jobs]
-        if not normalized:
-            return []
-        if granularity not in ("auto", "file", "function"):
-            raise ValueError("granularity must be 'auto', 'file', or 'function'")
-        cap = resolve_workers(max_workers, 1 << 30)
-        if granularity == "auto":
-            granularity = "function" if len(normalized) < cap else "file"
-        if cap <= 1:
-            return [self._compile_job(job) for job in normalized]
-        if granularity == "function":
-            return self._compile_many_functions(normalized, cap)
-        workers = min(cap, len(normalized))
-        if workers <= 1:
-            return [self._compile_job(job) for job in normalized]
-        from concurrent.futures import ProcessPoolExecutor
-
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        with _trace.span("session.compile_many", jobs=len(normalized), workers=workers):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_compile_worker, cache_dir, self.max_disk_bytes, job)
-                    for job in normalized
-                ]
-                results = [f.result() for f in futures]
-        for comp in results:
-            self._absorb_remote(comp)
-        self._enforce_disk_budget()
-        return results
+        parts = self.compile_partitions([[job] for job in jobs], max_workers)
+        return [comp for part in parts for comp in part]
 
     def _compile_job(self, job: CompileJob) -> Compilation:
         """Compile one normalized job through this session's cache."""
@@ -1310,8 +1225,9 @@ class CompilationSession:
         Each partition's jobs compile serially *inside* one worker
         process (they share that worker's in-memory tier and the
         session-wide disk tier), while distinct partitions run
-        concurrently — the LTO "ltrans" shape.  Results come back in
-        partition order, job order within each partition.
+        concurrently through :func:`parallel_map` — the LTO "ltrans"
+        shape.  Results come back in partition order, job order within
+        each partition.
 
         Two resilience properties:
 
@@ -1319,161 +1235,53 @@ class CompilationSession:
           this session's cache compile in the parent process, so a warm
           run decodes shared artifacts once instead of once per worker;
         * **in-process fallback** — if a worker dies (OOM kill, crash),
-          the affected partitions recompile in the parent; the batch
-          always completes.
+          every job the batch sent to the pool recompiles in the parent;
+          the batch always completes.
+
+        When only one partition is left for the pool it compiles in the
+        parent too (:func:`parallel_map` would run one item inline).
         """
         norm = [[_normalize_job(j) for j in part] for part in partitions]
         results: list[list[Optional[Compilation]]] = [
             [None] * len(part) for part in norm
         ]
-        live = [pi for pi, part in enumerate(norm) if part]
-        if not live:
-            return [list(part) for part in results]
-        workers = resolve_workers(max_workers, len(live))
-        if workers <= 1 or len(live) <= 1:
-            for pi in live:
-                for ji, job in enumerate(norm[pi]):
-                    results[pi][ji] = self._compile_job(job)
-            return results
-        remote: list[tuple[int, list[tuple[int, CompileJob]]]] = []
-        for pi in live:
-            pending: list[tuple[int, CompileJob]] = []
-            for ji, job in enumerate(norm[pi]):
-                if self._probe_warm(job):
-                    results[pi][ji] = self._compile_job(job)
+        workers = resolve_workers(max_workers, sum(1 for part in norm if part))
+        remote: list[tuple[int, int, CompileJob]] = []
+        batches: list[list[CompileJob]] = []
+        for pi, part in enumerate(norm):
+            batch: list[CompileJob] = []
+            for ji, job in enumerate(part):
+                if workers > 1 and not self._probe_warm(job):
+                    remote.append((pi, ji, job))
+                    batch.append(job)
                 else:
-                    pending.append((ji, job))
-            if pending:
-                remote.append((pi, pending))
-        if remote:
-            from concurrent.futures import ProcessPoolExecutor
+                    results[pi][ji] = self._compile_job(job)
+            if batch:
+                batches.append(batch)
+        pooled: Optional[list[Compilation]] = None
+        if len(batches) > 1:
             from concurrent.futures.process import BrokenProcessPool
 
             cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-            workers = min(workers, len(remote))
-            fallback: list[tuple[int, list[tuple[int, CompileJob]]]] = []
-            with _trace.span(
-                "session.compile_partitions",
-                partitions=len(remote),
-                workers=workers,
-            ):
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        (
-                            pool.submit(
-                                _compile_partition_worker,
-                                cache_dir,
-                                self.max_disk_bytes,
-                                [job for _, job in pending],
-                            ),
-                            pi,
-                            pending,
-                        )
-                        for pi, pending in remote
-                    ]
-                    for fut, pi, pending in futures:
-                        try:
-                            comps = fut.result()
-                        except (BrokenProcessPool, OSError):
-                            fallback.append((pi, pending))
-                            continue
-                        for (ji, _job), comp in zip(pending, comps):
-                            results[pi][ji] = comp
-                            self._absorb_remote(comp)
-            for pi, pending in fallback:
-                _metrics.inc("session.partition.fallback")
-                for ji, job in pending:
-                    results[pi][ji] = self._compile_job(job)
-            self._enforce_disk_budget()
-        return results
-
-    def _compile_many_functions(self, normalized, cap: int) -> list[Compilation]:
-        """Function-granularity fan-out: one pool task per invalidated fn."""
-        from .compile import compile_source
-
-        preps: list[Optional[_Prepared]] = []
-        results: list[Optional[Compilation]] = [None] * len(normalized)
-        with _trace.span(
-            "session.compile_many",
-            jobs=len(normalized),
-            workers=cap,
-            granularity="function",
-        ):
-            for idx, job in enumerate(normalized):
-                opts = job.options or CompileOptions()
-                passes = build_pipeline(opts)
-                prefix, suffix = split_frontend(passes)
-                if not prefix:
-                    results[idx] = compile_source(
-                        job.source, job.filename, opts, job.external_effects
-                    )
-                    preps.append(None)
-                    continue
-                key = cache_key(job.source, job.filename, passes, salt=job.extra_salt)
-                preps.append(
-                    self._prepare(
-                        key,
-                        job.source,
-                        job.filename,
-                        opts,
-                        prefix,
-                        suffix,
-                        external_effects=job.external_effects,
-                        extra_salt=job.extra_salt,
-                    )
-                )
-            tasks: list[tuple[int, str]] = []
-            payloads: list[bytes] = []
-            for idx, prep in enumerate(preps):
-                if prep is None:
-                    continue
-                has_per_fn = any(p.per_function for p in prep.suffix)
-                for name in prep.active:
-                    if not has_per_fn:
-                        continue
-                    payloads.append(
-                        _encode_fn_task(prep.comp, name, prep.opts)
-                    )
-                    tasks.append((idx, name))
-            if payloads:
-                from concurrent.futures import ProcessPoolExecutor
-
-                workers = min(cap, len(payloads))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    blobs = list(pool.map(_backend_fn_worker, payloads))
+            task = partial(_compile_partition_worker, cache_dir, self.max_disk_bytes)
+            try:
+                with _trace.span(
+                    "session.compile_partitions",
+                    partitions=len(batches),
+                    workers=min(workers, len(batches)),
+                ):
+                    out = parallel_map(task, batches, max_workers=workers)
+                pooled = [comp for comps in out for comp in comps]
+            except (BrokenProcessPool, OSError):
+                _metrics.inc("session.partition.fallback", n=len(batches))
+        for k, (pi, ji, job) in enumerate(remote):
+            if pooled is None:
+                results[pi][ji] = self._compile_job(job)
             else:
-                blobs = []
-            for (idx, name), blob in zip(tasks, blobs):
-                prep = preps[idx]
-                decoded = _decode_fn_be(blob)
-                self._install_be(prep.comp, name, decoded)
-                if self.reuse_backend:
-                    # Workers do not carry analysis units; re-encode with
-                    # ours so the stored blob can serve the want_unit path.
-                    fn_rtl, entry, ms, ds, of, _ = decoded
-                    self._store(
-                        _be_key(prep.fe_keys[name], prep.opts,
-                                _backend_fp(prep.suffix)),
-                        _encode_fn_be(fn_rtl, entry, ms, ds, of,
-                                      unit=prep.units.get(name)),
-                        kind="be",
-                    )
-            for idx, prep in enumerate(preps):
-                if prep is None:
-                    continue
-                worker_fns = [name for (j, name) in tasks if j == idx]
-                # Per-function passes already ran in the pool; run the
-                # suffix over zero units so file-level passes (lint) and
-                # artifact bookkeeping still execute in order.
-                ctx = PassContext(comp=prep.comp, opts=prep.opts, active_units=[])
-                initial = sorted({a for p in prep.prefix for a in p.provides})
-                make_manager(prep.suffix).run(ctx, initial=initial, stats=prep.stats)
-                for p in prep.suffix:
-                    if p.per_function:
-                        prep.stats.function_runs[p.name] = list(worker_fns)
-                prep.comp.pipeline_stats = prep.stats
-                results[idx] = prep.comp
-                _metrics.inc("session.cache.fanout", prep.comp.cache_state or "cold")
+                results[pi][ji] = pooled[k]
+                self._absorb_remote(pooled[k])
+        if len(batches) > 1:
+            self._enforce_disk_budget()
         return results
 
 
@@ -1495,51 +1303,6 @@ def _normalize_job(job) -> CompileJob:
     )
 
 
-def _encode_fn_task(comp: Compilation, name: str, opts: CompileOptions) -> bytes:
-    """Self-contained payload for one function's back-end pool task."""
-    return _binfmt.encode(
-        (
-            comp.filename,
-            name,
-            comp.rtl.functions[name],
-            comp.hli.entries[name],
-            opts,
-        )
-    )
-
-
-def _backend_fn_worker(payload: bytes) -> bytes:
-    """Run the per-function back-end passes for one function, standalone.
-
-    The result is a verified back-end blob — the parent both splices it
-    into the compilation and stores it in the cache (after re-attaching
-    the analysis unit, which never crosses the pool boundary).
-    """
-    fname, name, fn_rtl, entry, opts = _binfmt.decode(payload)
-    entry.filename = fname
-    hli = HLIFile(source_filename=fname)
-    hli.add(entry)
-    comp = Compilation(
-        source="",
-        filename=fname,
-        hli=hli,
-        rtl=RTLProgram(functions={name: fn_rtl}),
-        options=opts,
-    )
-    ctx = PassContext(comp=comp, opts=opts, active_units=[name])
-    prefix, suffix = split_frontend(build_pipeline(opts))
-    per_fn = [p for p in suffix if p.per_function]
-    initial = sorted({a for p in prefix for a in p.provides})
-    make_manager(per_fn).run(ctx, initial=initial)
-    return _encode_fn_be(
-        comp.rtl.functions[name],
-        entry,
-        comp.map_stats.get(name),
-        comp.dep_stats.get(name),
-        ctx.fn_opt_stats.get(name),
-    )
-
-
 #: Per-worker-process sessions, keyed by cache dir and disk budget
 #: (fork-safe lazily built).
 _WORKER_SESSIONS: dict[tuple[Optional[str], Optional[int]], CompilationSession] = {}
@@ -1557,12 +1320,6 @@ def _worker_session(
     return sess
 
 
-def _compile_worker(
-    cache_dir: Optional[str], max_disk_bytes: Optional[int], job: CompileJob
-) -> Compilation:
-    return _worker_session(cache_dir, max_disk_bytes)._compile_job(job)
-
-
 def _compile_partition_worker(
     cache_dir: Optional[str],
     max_disk_bytes: Optional[int],
@@ -1570,7 +1327,7 @@ def _compile_partition_worker(
 ) -> list[Compilation]:
     """Compile one partition's jobs serially inside a worker process."""
     if os.environ.get("REPRO_TEST_KILL_WORKER"):
-        # Deterministic crash hook for the worker-death fallback test:
+        # Deterministic crash hook for the worker-death fallback tests:
         # die without unwinding, like an OOM kill would.
         os._exit(17)
     sess = _worker_session(cache_dir, max_disk_bytes)
@@ -1598,7 +1355,9 @@ def resolve_workers(requested: Optional[int], n_items: int) -> int:
 def parallel_map(fn, items: Sequence, max_workers: Optional[int] = None) -> list:
     """Order-preserving process-pool map with a serial single-worker path.
 
-    ``fn`` must be a module-level (picklable) callable.
+    The driver's one process pool.  ``fn`` must be picklable: a
+    module-level function or a :func:`functools.partial` of one.  A
+    worker that dies surfaces here as ``BrokenProcessPool``.
     """
     items = list(items)
     workers = resolve_workers(max_workers, len(items))
@@ -1612,14 +1371,13 @@ def parallel_map(fn, items: Sequence, max_workers: Optional[int] = None) -> list
 
 
 def compile_many(
-    jobs: Sequence[tuple],
+    jobs: Sequence,
     max_workers: Optional[int] = None,
     session: Optional[CompilationSession] = None,
-    granularity: str = "auto",
 ) -> list[Compilation]:
     """Module-level convenience: batch compile via ``session`` (or the default)."""
     sess = session if session is not None else default_session()
-    return sess.compile_many(jobs, max_workers=max_workers, granularity=granularity)
+    return sess.compile_many(jobs, max_workers=max_workers)
 
 
 # -- the default session -------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro import CompileOptions
 from repro.backend.ddg import DDGMode
+from repro.difftest.incremental import canonical_rtl
 from repro.driver.session import (
     CompilationSession,
     parallel_map,
@@ -51,23 +52,41 @@ class TestCompileMany:
         with pytest.raises(ValueError, match="source, filename"):
             CompilationSession().compile_many([("only-source",)])
 
-    def test_function_granularity_matches_serial(self, tmp_path):
+    def test_narrow_batch_matches_serial_then_restores_from_be(self, tmp_path):
         serial = CompilationSession().compile_many(_jobs(2), max_workers=1)
         sess = CompilationSession(cache_dir=tmp_path / "c")
-        par = sess.compile_many(_jobs(2), max_workers=2, granularity="function")
+        par = sess.compile_many(_jobs(2), max_workers=2)
         for a, b in zip(par, serial):
             assert {n: [i.op for i in f.insns] for n, f in a.rtl.functions.items()} \
                 == {n: [i.op for i in f.insns] for n, f in b.rtl.functions.items()}
             assert {n: vars(s) for n, s in a.dep_stats.items()} \
                 == {n: vars(s) for n, s in b.dep_stats.items()}
-        # the fan-out populated the per-function back-end tier: a warm
-        # serial recompile splices every function
+        # the pool workers populated the per-function back-end tier: a
+        # warm serial recompile restores every function from it
         warm = sess.compile_many(_jobs(2), max_workers=1)
-        assert all(
-            v.startswith("be:") or v.startswith("fe:")
-            for c in warm
-            for v in c.fn_cache_states.values()
+        states = [v for c in warm for v in c.fn_cache_states.values()]
+        assert states and all(v.startswith("be:") for v in states)
+
+    def test_warm_batch_is_served_in_the_parent(self, tmp_path):
+        CompilationSession(cache_dir=tmp_path / "c").compile_many(
+            _jobs(), max_workers=2
         )
+        sess = CompilationSession(cache_dir=tmp_path / "c")
+        warm = sess.compile_many(_jobs(), max_workers=2)
+        assert [c.cache_state for c in warm] == ["disk"] * len(warm)
+        assert sess.stats.be_hits_disk == sum(len(c.rtl.functions) for c in warm)
+        assert sess.stats.fe_decodes == sess.stats.frontend_decodes == 0
+
+    def test_dead_worker_batch_recompiles_in_parent(self, monkeypatch):
+        serial = CompilationSession().compile_many(_jobs(3), max_workers=1)
+        monkeypatch.setenv("REPRO_TEST_KILL_WORKER", "1")
+        sess = CompilationSession()
+        par = sess.compile_many(_jobs(3), max_workers=2)
+        assert [c.filename for c in par] == [c.filename for c in serial]
+        for a, b in zip(par, serial):
+            assert canonical_rtl(a.rtl) == canonical_rtl(b.rtl)
+        # the pool broke, so the parent compiled (and stored) every job
+        assert sess.stats.stores == 3
 
 
 class TestDiskBudgetAcrossWorkers:
@@ -79,7 +98,7 @@ class TestDiskBudgetAcrossWorkers:
         sess = CompilationSession(cache_dir=cache, max_disk_bytes=self.BUDGET)
         jobs = _jobs(6)
         if pool == "file":
-            sess.compile_many(jobs, max_workers=2, granularity="file")
+            sess.compile_many(jobs, max_workers=2)
         else:
             sess.compile_partitions([jobs[:3], jobs[3:]], max_workers=2)
         on_disk = sum(p.stat().st_size for p in cache.rglob("*.hlic"))
