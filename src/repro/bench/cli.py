@@ -95,6 +95,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--iterations must be >= 1 and --warmup >= 0")
 
     paths = tuple(p.strip() for p in args.paths.split(",") if p.strip())
+    if not paths:
+        parser.error("--paths selects no path")
+    if args.jobs is not None and "wpa" not in paths:
+        parser.error("--jobs requires the wpa path in --paths")
     try:
         registry.get_set(args.set_name)
     except KeyError as exc:

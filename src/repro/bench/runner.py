@@ -3,12 +3,16 @@
 For every program in a named set the runner measures, with N timed
 iterations after W discarded warmup iterations:
 
-* **session** — cold compile latency (fresh
+* **session** — cold compile latency (fresh memory-only
   :class:`~repro.driver.session.CompilationSession` per observation),
-  warm compile latency against a populated session, the warm/cold
-  speedup, and the DDG edge-reduction percentage (the paper's headline
-  precision claim, now characterized per profile class instead of per
-  anecdote).  Multi-unit programs go through
+  warm compile latency (fresh session per observation over a disk cache
+  one untimed compile filled), the warm/cold speedup, and the DDG
+  edge-reduction percentage (the paper's headline precision claim, now
+  characterized per profile class instead of per anecdote).  The warm
+  sessions' counters give three facts: the share of programs whose
+  every warm compile was a disk hit, the share of restored functions
+  served from their back-end blob, and the count of front-end decodes.
+  Multi-unit programs go through
   :func:`~repro.driver.wpa.compile_whole_program` twice (linked vs
   per-file) and report the cross-module edge deletion and link
   overhead; the two images must agree semantically or the run aborts —
@@ -34,6 +38,7 @@ gates from a committed baseline file are evaluated by the CLI.
 
 from __future__ import annotations
 
+import tempfile
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -96,13 +101,21 @@ def _session_single(report: Report, prog: WorkloadProgram, n: int, w: int) -> di
     cold_secs, comp = _observe(cold, n, w)
     metrics.inc("bench.compiles", "cold", n + w)
 
-    sess = CompilationSession()
-    sess.compile(prog.source, fname, _options())
+    # a fresh session per warm observation, so every one restores from
+    # the disk tier rather than from the memory tier of a previous one
+    warm_sessions: list[tuple[CompilationSession, object]] = []
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
+        CompilationSession(cache_dir=cache_dir).compile(
+            prog.source, fname, _options()
+        )
 
-    def warm():
-        return sess.compile(prog.source, fname, _options())
+        def warm():
+            sess = CompilationSession(cache_dir=cache_dir)
+            warm_comp = sess.compile(prog.source, fname, _options())
+            warm_sessions.append((sess, warm_comp))
+            return warm_comp
 
-    warm_secs, warm_comp = _observe(warm, n, w)
+        warm_secs, _ = _observe(warm, n, w)
     metrics.inc("bench.compiles", "warm", n + w)
 
     from .stats import Summary
@@ -119,7 +132,15 @@ def _session_single(report: Report, prog: WorkloadProgram, n: int, w: int) -> di
         "session", prog.name, prog.profile, "ddg_reduction_pct",
         [_reduction_pct(comp)],
     )
-    return {"warm_hit": warm_comp.cache_state in ("memory", "disk")}
+    return {
+        "warm_hit": all(c.cache_state == "disk" for _, c in warm_sessions),
+        "fe_decodes": sum(
+            sess.stats.fe_decodes + sess.stats.frontend_decodes
+            for sess, _ in warm_sessions
+        ),
+        "be_hits_disk": sum(sess.stats.be_hits_disk for sess, _ in warm_sessions),
+        "functions": sum(len(c.rtl.functions) for _, c in warm_sessions),
+    }
 
 
 def _session_multiunit(report: Report, prog: WorkloadProgram, n: int, w: int) -> dict:
@@ -370,6 +391,9 @@ def run_set(
     if "session" in paths:
         hits = 0
         eligible = 0
+        fe_decodes = 0
+        be_hits = 0
+        restored = 0
         wp_agree = 0
         wp_total = 0
         for prog in progs:
@@ -382,8 +406,15 @@ def run_set(
                 facts = _session_single(report, prog, iterations, warmup)
                 eligible += 1
                 hits += bool(facts["warm_hit"])
+                fe_decodes += facts["fe_decodes"]
+                be_hits += facts["be_hits_disk"]
+                restored += facts["functions"]
         if eligible:
             report.facts["session.warm_hit_ratio"] = hits / eligible
+            report.facts["session.warm_fe_decodes"] = fe_decodes
+            report.facts["session.warm_be_hit_ratio"] = (
+                be_hits / restored if restored else 0.0
+            )
         if wp_total:
             report.facts["session.wp_agree_ratio"] = wp_agree / wp_total
 

@@ -1,8 +1,8 @@
 """Statistical primitives for benchmark reporting.
 
 One implementation of median / quartile / spread math, shared by the
-``repro-bench`` runner, the standalone ``benchmarks/bench_*.py``
-harnesses, and the load-test percentile reports — so every number in
+``repro-bench`` runner and reports, the ``hli-report`` speedup table,
+and the repository benchmark in ``perfbench/`` — so every number in
 TRAJECTORY.md is computed the same way.
 
 Conventions (kept deliberately boring so fixtures can be hand-checked):

@@ -46,9 +46,9 @@ Cache entries are **verified, not trusted**: a checksum guards every
 blob, HLI payloads must decode through the real binio reader, and any
 failure (truncation, bit-flips, version skew, codec-fingerprint skew)
 degrades to a cold build — never a crash, never wrong code.  The disk
-tier shards entries git-object style (``ab/cdef….hlic``), migrates
-legacy flat files on first touch, and enforces an optional size budget
-by least-recently-used eviction (``max_disk_bytes``).
+tier shards entries git-object style (``ab/cdef….hlic``) and enforces
+an optional size budget by least-recently-used eviction
+(``max_disk_bytes``).
 
 ``compile_partitions`` fans partitions of jobs out through
 :func:`parallel_map`, the driver's one process pool: jobs whose manifest
@@ -627,17 +627,12 @@ class CompilationSession:
         cache_dir: Optional[str | os.PathLike] = None,
         max_memory_entries: int = 1024,
         max_disk_bytes: Optional[int] = None,
-        reuse_backend: bool = True,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.max_memory_entries = max(0, max_memory_entries)
         self.max_disk_bytes = max_disk_bytes
-        #: when False the session serves only front-end artifacts (the
-        #: PR-4 whole-file warm path) — the escape hatch benchmarks use
-        #: to compare against function-grained reuse
-        self.reuse_backend = reuse_backend
         self._memory: OrderedDict[str, bytes] = OrderedDict()
         self.stats = SessionStats()
         #: guards ``_memory``, ``stats``, and the disk-budget sweep
@@ -656,12 +651,6 @@ class CompilationSession:
             return None
         return self.cache_dir / key[:2] / f"{key[2:]}.hlic"
 
-    def _flat_path(self, key: str) -> Optional[Path]:
-        """Legacy unsharded location; migrated on first touch."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.hlic"
-
     def _lookup(self, key: str) -> tuple[Optional[bytes], str]:
         """Return ``(blob, tier)``; tier is ``"memory"``, ``"disk"``, or ``""``."""
         with self._lock:
@@ -675,18 +664,7 @@ class CompilationSession:
         try:
             blob = path.read_bytes()
         except OSError:
-            blob = None
-        if blob is None:
-            flat = self._flat_path(key)
-            try:
-                blob = flat.read_bytes()
-            except OSError:
-                return None, ""
-            try:  # migrate the flat entry into the sharded layout
-                path.parent.mkdir(exist_ok=True)
-                os.replace(flat, path)
-            except OSError:
-                pass
+            return None, ""
         try:  # LRU recency for the disk budget
             os.utime(path)
         except OSError:
@@ -711,7 +689,6 @@ class CompilationSession:
             self._bump("fn_stores")
         else:
             self._bump("be_stores")
-        self._remember(key, blob)
         path = self._disk_path(key)
         if path is not None:
             tmp = path.parent / (
@@ -724,7 +701,12 @@ class CompilationSession:
             except OSError:
                 # a read-only or full cache dir must never fail the compile
                 tmp.unlink(missing_ok=True)
-                return
+                path = None
+        # Into memory only after the disk write: a thread that finds a
+        # manifest in memory looks up its function blobs next, and any
+        # the LRU has dropped by then must already be on disk.
+        self._remember(key, blob)
+        if path is not None:
             self._enforce_disk_budget(keep=path)
 
     def _enforce_disk_budget(self, keep: Optional[Path] = None) -> None:
@@ -769,12 +751,10 @@ class CompilationSession:
         with self._lock:
             self._memory.pop(key, None)
         if tier == "disk":
-            for path in (self._disk_path(key), self._flat_path(key)):
-                if path is not None:
-                    try:
-                        path.unlink(missing_ok=True)
-                    except OSError:
-                        pass
+            try:
+                self._disk_path(key).unlink(missing_ok=True)
+            except OSError:
+                pass
 
     # -- compilation -----------------------------------------------------------
 
@@ -891,7 +871,7 @@ class CompilationSession:
             cache_state=tier,
             external_effects=external_effects,
         )
-        use_be = self.reuse_backend and any(p.per_function for p in suffix)
+        use_be = any(p.per_function for p in suffix)
         backend_fp = _backend_fp(suffix) if use_be else ""
         fn_states: dict[str, str] = {}
         active: list[str] = []
@@ -1001,7 +981,7 @@ class CompilationSession:
             builder.refmod,
             salt=_fe_salt(prefix, filename, extra_salt),
         )
-        use_be = self.reuse_backend and any(p.per_function for p in suffix)
+        use_be = any(p.per_function for p in suffix)
         backend_fp = _backend_fp(suffix) if use_be else ""
         hli = HLIFile(source_filename=program.filename)
         frontend = builder.frontend_info()
@@ -1137,7 +1117,7 @@ class CompilationSession:
         units: dict[str, UnitInfo],
     ) -> None:
         """Store the finished back-end artifacts of every active unit."""
-        if not self.reuse_backend or not ctx.active_units:
+        if not ctx.active_units:
             return
         if not any(p.per_function for p in suffix):
             return

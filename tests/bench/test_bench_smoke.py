@@ -1,16 +1,15 @@
-"""Quick-mode smoke coverage for every ``benchmarks/bench_*.py`` entry
-point (the ``bench`` marker lane: ``pytest -m bench tests/bench``).
+"""Quick-mode smoke coverage for the benchmark entry points (the
+``bench`` marker lane: ``pytest -m bench tests/bench``).
 
 Two families:
 
-* the standalone harnesses (``bench_pipeline``, ``bench_incremental``,
-  ``bench_wpa``) are imported and driven through their ``main()`` with
-  the smallest argument set — one repeat, one seed — asserting a zero
-  exit and a well-formed JSON artifact;
-* the pytest-benchmark suites are exercised through a subprocess pytest
-  with one cheap selection each and ``--benchmark-disable``, so the
-  timing loop collapses to a single call (guarded on the plugin being
-  installed).
+* the gated ``repro-bench`` commands CI runs (the suite-v1 disk-warm
+  and invalidation gates, the decode-v1 codec ceilings) are driven
+  through the real CLI at one iteration, asserting a zero exit;
+* the pytest-benchmark suites under ``benchmarks/`` are exercised
+  through a subprocess pytest with one cheap selection each and
+  ``--benchmark-disable``, so the timing loop collapses to a single
+  call (guarded on the plugin being installed).
 
 These run only in the ``bench`` lane, not in the default tier-1 sweep —
 the point is that a refactor cannot silently break a harness that CI
@@ -33,47 +32,24 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _json_at(path: Path) -> dict:
     assert path.exists(), f"{path} not written"
     return json.loads(path.read_text())
 
 
-class TestStandaloneHarnesses:
-    def test_bench_pipeline(self, tmp_path):
-        out = tmp_path / "pipeline.json"
-        assert _load("bench_pipeline").main(
-            ["--out", str(out), "--repeats", "1"]
-        ) == 0
-        doc = _json_at(out)
-        assert len(doc["benchmarks"]) > 0
-        assert doc["total_compile_seconds"] >= 0
-        assert "compile_summary" in doc["benchmarks"][0]
+class TestGatedCommands:
+    def test_suite_gates(self, tmp_path, monkeypatch):
+        # CI's suite-v1 command at one iteration, against the committed
+        # default baseline (resolved from the repository root)
+        from repro.bench.cli import main as bench_main
 
-    def test_bench_incremental(self, tmp_path):
-        out = tmp_path / "incremental.json"
-        assert _load("bench_incremental").main(
-            ["--out", str(out), "--repeats", "1"]
-        ) == 0
-        doc = _json_at(out)
-        assert [s["functions"] for s in doc["sizes"]] == [1, 4, 16]
-        for s in doc["sizes"]:
-            assert s["warm_incremental_summary"]["count"] == 1
-
-    def test_bench_wpa(self, tmp_path):
-        out = tmp_path / "wpa.json"
-        assert _load("bench_wpa").main(
-            ["--out", str(out), "--seeds", "1", "--repeats", "1"]
-        ) == 0
-        doc = _json_at(out)
-        assert doc["workloads"]
-        assert doc["total_call_dep_wp"] <= doc["total_call_dep_pf"]
+        monkeypatch.chdir(REPO_ROOT)
+        rc = bench_main([
+            "--set", "suite-v1", "--paths", "session,incremental",
+            "--gate", "--iterations", "1", "--warmup", "0", "--quiet",
+            "--out", str(tmp_path / "suite.json"),
+        ])
+        assert rc == 0
 
     def test_decode_path_gates(self, tmp_path):
         # one-iteration decode-v1 run through the real CLI, gated

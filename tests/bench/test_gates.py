@@ -174,3 +174,15 @@ class TestCliExitContract:
     def test_unknown_set_exits_2(self, capsys):
         assert cli.main(["--set", "nope-v9", "--quiet"]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_empty_paths_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--set", "quick-v1", "--paths", ",", "--quiet"])
+        assert exc.value.code == EXIT_ERROR
+        assert "--paths selects no path" in capsys.readouterr().err
+
+    def test_jobs_without_wpa_path_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGS + ["--jobs", "2"])
+        assert exc.value.code == EXIT_ERROR
+        assert "--jobs requires the wpa path" in capsys.readouterr().err

@@ -296,21 +296,6 @@ class TestShardedDisk:
             # shard dir + stem reassemble the full 64-hex key
             assert len(shard + f.stem) == 64
 
-    def test_flat_legacy_entry_is_migrated_on_first_touch(self, tmp_path):
-        d = tmp_path / "cache"
-        sess = CompilationSession(cache_dir=d)
-        sess.compile(SIMPLE_MAIN, "simple.c")
-        # flatten every sharded entry back into the legacy layout
-        for f in list(d.rglob("*.hlic")):
-            flat = d / (f.parent.name + f.stem + ".hlic")
-            f.rename(flat)
-        fresh = CompilationSession(cache_dir=d)
-        comp = fresh.compile(SIMPLE_MAIN, "simple.c")
-        assert comp.cache_state == "disk"
-        # the touched entry moved into its shard
-        moved = [f for f in d.rglob("*.hlic") if f.parent != d]
-        assert moved
-
     def test_disk_budget_evicts_lru_entries(self, tmp_path):
         d = tmp_path / "cache"
         sess = CompilationSession(cache_dir=d, max_disk_bytes=1)

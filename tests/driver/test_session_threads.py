@@ -115,6 +115,23 @@ class TestConcurrentSession:
         for name, seen in digests.items():
             assert len(seen) == 1
 
+    def test_blobs_reach_disk_before_memory(self, tmp_path, monkeypatch):
+        # The race behind the test above, made deterministic: a blob
+        # visible in the memory tier before its disk write can be
+        # evicted from a small LRU first, and a thread restoring a
+        # manifest then finds neither copy (counted as corrupt).
+        sess = CompilationSession(cache_dir=tmp_path / "cache")
+        on_disk = []
+        remember = sess._remember
+
+        def checked(key, blob):
+            on_disk.append(sess._disk_path(key).exists())
+            remember(key, blob)
+
+        monkeypatch.setattr(sess, "_remember", checked)
+        sess.compile(FIG2_SOURCE, "fig2.c")
+        assert on_disk and all(on_disk)
+
     def test_disk_budget_enforced_under_contention(self, tmp_path):
         # Tight disk budget: concurrent stores race with LRU eviction.
         sess = CompilationSession(
