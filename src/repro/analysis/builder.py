@@ -106,17 +106,6 @@ class HLIBuilder:
             )
         self.partition_options = partition_options or PartitionOptions()
 
-    def frontend_info(self) -> FrontEndInfo:
-        """A :class:`FrontEndInfo` shell over the whole-program analyses.
-
-        Per-unit artifacts are added by :meth:`build_unit`; the
-        incremental driver fills cached units from its per-function
-        store instead.
-        """
-        return FrontEndInfo(
-            program=self.program, table=self.table, pts=self.pts, refmod=self.refmod
-        )
-
     def build_unit(self, fn: ast.FuncDef) -> tuple[HLIEntry, UnitInfo]:
         """ITEMGEN + TBLCONST for a single function.
 
@@ -130,7 +119,9 @@ class HLIBuilder:
 
     def build(self) -> tuple[HLIFile, FrontEndInfo]:
         hli = HLIFile(source_filename=self.program.filename)
-        info = self.frontend_info()
+        info = FrontEndInfo(
+            program=self.program, table=self.table, pts=self.pts, refmod=self.refmod
+        )
         for fn in self.program.functions:
             entry, unit = self.build_unit(fn)
             hli.add(entry)

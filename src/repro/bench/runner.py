@@ -24,7 +24,8 @@ iterations after W discarded warmup iterations:
 * **decode** — codec throughput per blob kind: the hand-packed RTL
   function codec, the generic :mod:`repro.binfmt` object graph (a whole
   ``Compilation``), and the linker's persisted summary table, each
-  verified on every decode (the ``decode-v1`` microbenchmark).
+  verified on every decode (the ``decode-v1`` microbenchmark), plus RTL
+  encode time per instruction on the set's largest function.
 * **wpa** — partitioned parallel whole-program back end: cold serial
   (``jobs=1``) vs cold partitioned (``jobs=N, partition=balanced``)
   latency per multi-unit program, the resulting ``parallel_speedup``,
@@ -232,6 +233,12 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
     single-blob micronoise.  Every decode is verified against the
     encoded original's shape; a mismatch fails the run via the
     ``decode.roundtrip_ok`` fact.
+
+    ``rtl_encode_us_per_insn`` times the encode of the largest
+    single-unit function alone, per instruction: a linear codec costs
+    the same per instruction at any size, so a cost that grows with
+    function size (a per-register scan, say) shows here long before it
+    moves the per-program medians.
     """
     from .. import binfmt
     from ..binfmt.rtlcodec import decode_rtl_function, encode_rtl_function
@@ -242,6 +249,7 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 
     ok = True
     total_blob_bytes = 0
+    largest = None  # (RTL function, its program)
     for prog in progs:
         if prog.multi_unit:
             units = []
@@ -263,6 +271,9 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 
         comp = compile_source(prog.source, prog.units[0][0], _options())
         fns = list(comp.rtl.functions.values())
+        for fn in fns:
+            if largest is None or len(fn.insns) > len(largest[0].insns):
+                largest = (fn, prog)
 
         def rtl_encode():
             return [encode_rtl_function(fn) for fn in fns]
@@ -288,6 +299,13 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
         )
         report.add(
             "decode", prog.name, prog.profile, "object_decode_seconds", obj_dec_secs
+        )
+    if largest is not None:
+        big, prog = largest
+        secs, _ = _observe(lambda: encode_rtl_function(big), n, w)
+        report.add(
+            "decode", prog.name, prog.profile, "rtl_encode_us_per_insn",
+            [1e6 * s / len(big.insns) for s in secs],
         )
     metrics.inc("bench.compiles", "decode", len(progs))
     return {"roundtrip_ok": ok, "blob_bytes": total_blob_bytes}

@@ -79,7 +79,7 @@ class _Tables:
         self.strings: list[str] = []
         self.string_ids: dict[str, int] = {}
         self.regs: list[Reg] = []
-        self.reg_ids: dict[int, int] = {}
+        self.reg_ids: dict[tuple[int, bool, str], int] = {}
 
     def sid(self, s: Optional[str]) -> int:
         if s is None:
@@ -94,16 +94,12 @@ class _Tables:
     def rid(self, r: Optional[Reg]) -> int:
         if r is None:
             return 0
-        idx = self.reg_ids.get(id(r))
+        # Dedup by value: equal frozen Regs are interchangeable.
+        key = (r.rid, r.is_float, r.name)
+        idx = self.reg_ids.get(key)
         if idx is None:
-            # Dedup by value: equal frozen Regs are interchangeable.
-            key = (r.rid, r.is_float, r.name)
-            for i, seen in enumerate(self.regs):
-                if (seen.rid, seen.is_float, seen.name) == key:
-                    self.reg_ids[id(r)] = i + 1
-                    return i + 1
             idx = len(self.regs) + 1
-            self.reg_ids[id(r)] = idx
+            self.reg_ids[key] = idx
             self.regs.append(r)
         return idx
 

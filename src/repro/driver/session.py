@@ -8,22 +8,26 @@ per function), the cache is keyed **per function**:
 
 * a **manifest** blob per (source, filename, front-end fingerprint) —
   a fixed-layout key table (function name, front-end key, frame layout)
-  plus the file-level leftovers (globals layout, init data) and the
-  whole-file front-end info as one *lazily decoded* chunk.  The
+  plus the file-level leftovers (globals layout, init data).  The
   manifest holds **no function bodies**: a warm compile restores every
   function straight from its per-function blob, so the manifest decode
   is a few key-table reads, not a whole-program deserialization;
 * a **front-end blob** per function, keyed by the chained dependency
   fingerprint of :mod:`repro.driver.incremental` (own span + referenced
   symbol facts + transitive callee REF/MOD), holding the function's HLI
-  entry (via :mod:`repro.hli.binio`), its analysis artifacts, and its
-  pristine RTL;
+  entry (via :mod:`repro.hli.binio`) and its pristine RTL;
 * a **back-end blob** per function, keyed by the front-end key plus the
   back-end pass fingerprint and scheduling knobs, holding the
-  optimized+scheduled RTL, the maintained HLI entry, the mapping /
-  scheduling statistics, **and the function's analysis unit** — so a
-  warm function skips the back end *without ever touching the
-  front-end tier*.
+  optimized+scheduled RTL, the maintained HLI entry and the mapping /
+  scheduling statistics — so a warm function skips the back end
+  *without ever touching the front-end tier*.
+
+Blobs carry what the back end reads — HLI entries and RTL — and none of
+the front end's analysis objects (AST, symbols, regions, items): the
+paper's back end reads the HLI file and nothing else (Figure 3).
+Session results do not hold them either: ``Compilation.frontend``
+re-runs parse and HLI construction from the compilation's own source
+(and linked ``external_effects``) the first time it is read.
 
 Every persisted payload beyond the raw binio tables rides the
 self-describing :mod:`repro.binfmt` codec, never pickle: a corrupted or
@@ -73,7 +77,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .. import binfmt as _binfmt
-from ..analysis.builder import FrontEndInfo, UnitInfo
+from ..analysis.builder import FrontEndInfo
 from ..backend.ddg import DepStats
 from ..backend.lowering import lower_program
 from ..backend.mapping import MapStats
@@ -128,7 +132,7 @@ class CompileJob:
 
 #: Bumped whenever the blob layout or any serialized artifact changes.
 CACHE_MAGIC = b"HLIC"
-CACHE_VERSION = 4  # 4: zero-pickle binfmt payloads, key-table manifest
+CACHE_VERSION = 5  # 5: no front-end analysis state in any blob
 
 #: First 8 bytes of the binfmt registry fingerprint, stamped into every
 #: frame header: a codec change (new field, reordered type) makes every
@@ -161,10 +165,11 @@ class SessionStats:
     on *every* compile — a manifest hit restores each function from the
     back-end tier first, so a fully warm compile shows one manifest hit
     plus one ``be_hits_*`` per function (and no ``fn_*`` traffic at
-    all).  The ``*_decodes`` counters count successful payload decodes:
-    ``frontend_decodes`` in particular stays **zero** on the warm path —
-    the manifest's front-end chunk only decodes when a consumer actually
-    reads ``Compilation.frontend``.
+    all).  ``fe_decodes``/``be_decodes`` count successful blob decodes;
+    ``frontend_decodes`` counts front-end re-runs — a session's
+    compilation re-parses and rebuilds its HLI only when a consumer
+    actually reads ``Compilation.frontend``, so it stays **zero** on
+    the warm path.
     """
 
     hits_memory: int = 0
@@ -188,7 +193,7 @@ class SessionStats:
     # -- decode-level (how much deserialization actually happened) --
     fe_decodes: int = 0
     be_decodes: int = 0
-    #: lazy manifest front-end chunks materialized on attribute access
+    #: lazy front ends re-run on first ``Compilation.frontend`` access
     frontend_decodes: int = 0
 
     def to_dict(self) -> dict:
@@ -338,19 +343,20 @@ def _r_chunk(payload: bytes, pos: int) -> tuple[bytes, int]:
 
 
 class _LazyFrontEnd(FrontEndInfo):
-    """A :class:`FrontEndInfo` that decodes itself on first field access.
+    """A :class:`FrontEndInfo` that re-runs the front end on first field access.
 
-    The manifest carries the whole-file front-end info as one encoded
-    chunk; nothing on the warm path reads it (the per-function blobs
-    carry everything the back end needs), so the decode cost — the
-    single largest deserialization in the old manifest format — is
-    deferred until a consumer (reports, whole-program linking) actually
-    touches ``program`` / ``table`` / ``units`` / ….
+    No cache blob carries front-end analysis state, and nothing after
+    the pipeline reads it, so a session's compilation (cold, restored
+    or spliced) defers parse + :func:`~repro.analysis.builder.build_hli`
+    until a consumer (tests, reports) actually touches ``program`` /
+    ``table`` / ``units`` / ….  The re-run sees the compilation's own source,
+    filename and linked ``external_effects``, so it yields the same
+    units, item ids and REF/MOD as a cold ``compile_source``.
     """
 
     def __getstate__(self):
         # Pool workers hand compilations back pickled; the stats
-        # callback must not travel — the blob does, so the receiver
+        # callback must not travel — the inputs do, so the receiver
         # stays lazy.
         state = dict(self.__dict__)
         state.pop("_lazy_notify", None)
@@ -362,13 +368,16 @@ class _LazyFrontEnd(FrontEndInfo):
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        blob = self.__dict__.pop("_lazy_blob", None)
-        if blob is None:
+        inputs = self.__dict__.pop("_lazy_inputs", None)
+        if inputs is None:
             raise AttributeError(name)
         notify = self.__dict__.pop("_lazy_notify", None)
-        real = _binfmt.decode(blob)
-        if not isinstance(real, FrontEndInfo):
-            raise CacheCorruption("manifest front-end chunk has the wrong type")
+        from ..analysis.builder import build_hli
+        from ..frontend import parse_and_check
+
+        source, filename, external_effects = inputs
+        program, table = parse_and_check(source, filename)
+        _hli, real = build_hli(program, table, external_effects=external_effects)
         self.__dict__.update(real.__dict__)
         if notify is not None:
             notify()
@@ -378,9 +387,9 @@ class _LazyFrontEnd(FrontEndInfo):
             raise AttributeError(name) from None
 
 
-def _lazy_frontend(blob: bytes, notify) -> FrontEndInfo:
+def _lazy_frontend(comp: Compilation, notify) -> FrontEndInfo:
     fe = FrontEndInfo.__new__(_LazyFrontEnd)
-    fe.__dict__["_lazy_blob"] = blob
+    fe.__dict__["_lazy_inputs"] = (comp.source, comp.filename, comp.external_effects)
     fe.__dict__["_lazy_notify"] = notify
     return fe
 
@@ -391,11 +400,10 @@ class _Manifest:
 
     No function bodies live here — every function restores from its own
     per-function blob.  The manifest contributes what those blobs cannot
-    know: the file-level globals layout / init data, each function's
+    know: the file-level globals layout / init data and each function's
     frame layout *in this file* (per-function blobs are shared across
     files, so their recorded frames may belong to a different program
-    order), and the front-end info chunk, kept encoded until someone
-    reads it.
+    order).
     """
 
     source_filename: str
@@ -406,8 +414,6 @@ class _Manifest:
     frame_sizes: dict[str, int]
     globals_layout: dict[str, tuple[int, int]]
     init_data: dict[int, object]
-    #: encoded :class:`FrontEndInfo`, decoded lazily via :class:`_LazyFrontEnd`
-    frontend_blob: bytes
 
 
 def _encode_manifest(comp: Compilation, fe_keys: dict[str, str]) -> bytes:
@@ -438,22 +444,19 @@ def _encode_manifest(comp: Compilation, fe_keys: dict[str, str]) -> bytes:
             (comp.hli.source_filename, comp.rtl.globals_layout, comp.rtl.init_data)
         ),
     )
-    _w_chunk(body, _binfmt.encode(comp.frontend))
     return _frame(_TAG_MANIFEST, body.getvalue())
 
 
 def _decode_manifest(data: bytes) -> _Manifest:
     """Verified decode of :func:`_encode_manifest` output.
 
-    Parses the fixed-layout key table and the small file-level chunk;
-    the front-end chunk is *not* decoded here — it rides along encoded.
+    Parses the fixed-layout key table and the small file-level chunk.
     Raises :class:`CacheCorruption` on any defect.
     """
     try:
         payload = _unframe(_TAG_MANIFEST, data)
         kt, pos = _r_chunk(payload, 0)
         file_chunk, pos = _r_chunk(payload, pos)
-        frontend_blob, pos = _r_chunk(payload, pos)
         if pos != len(payload):
             raise CacheCorruption("trailing bytes after manifest chunks")
         fe_keys: dict[str, str] = {}
@@ -499,7 +502,6 @@ def _decode_manifest(data: bytes) -> _Manifest:
             frame_sizes=frame_sizes,
             globals_layout=globals_layout,
             init_data=init_data,
-            frontend_blob=bytes(frontend_blob),
         )
     except CacheCorruption:
         raise
@@ -507,26 +509,28 @@ def _decode_manifest(data: bytes) -> _Manifest:
         raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _encode_fn_fe(entry: HLIEntry, unit: UnitInfo, fn_rtl: RTLFunction) -> bytes:
+def _encode_fn_fe(entry: HLIEntry, fn_rtl: RTLFunction) -> bytes:
     """Serialize one function's pristine front-end artifacts."""
     body = io.BytesIO()
     _w_chunk(body, encode_entry(entry))
-    _w_chunk(body, _binfmt.encode((unit, fn_rtl)))
+    _w_chunk(body, _binfmt.encode(fn_rtl))
     return _frame(_TAG_FE, body.getvalue())
 
 
-def _decode_fn_fe(data: bytes) -> tuple[HLIEntry, UnitInfo, RTLFunction]:
+def _decode_fn_fe(data: bytes) -> tuple[HLIEntry, RTLFunction]:
     try:
         payload = _unframe(_TAG_FE, data)
         entry_bytes, pos = _r_chunk(payload, 0)
-        rest, _ = _r_chunk(payload, pos)
+        rtl_bytes, pos = _r_chunk(payload, pos)
+        if pos != len(payload):
+            raise CacheCorruption("trailing bytes after fe chunks")
         entry = decode_entry(bytes(entry_bytes))
-        unit, fn_rtl = _binfmt.decode(bytes(rest))
-        if not isinstance(unit, UnitInfo) or not isinstance(fn_rtl, RTLFunction):
-            raise CacheCorruption("decoded unit artifacts have the wrong types")
+        fn_rtl = _binfmt.decode(bytes(rtl_bytes))
+        if not isinstance(fn_rtl, RTLFunction):
+            raise CacheCorruption("decoded pristine RTL has the wrong type")
         if entry.unit_name != fn_rtl.name:
             raise CacheCorruption("entry / RTL unit-name mismatch")
-        return entry, unit, fn_rtl
+        return entry, fn_rtl
     except CacheCorruption:
         raise
     except Exception as exc:
@@ -539,16 +543,12 @@ def _encode_fn_be(
     map_stats: Optional[MapStats],
     dep_stats: Optional[DepStats],
     opt_frag,
-    unit: Optional[UnitInfo] = None,
 ) -> bytes:
     """Serialize one function's finished back-end artifacts.
 
     The entry is the *maintained* one (post unroll/cse/licm table
     updates); its generation counter rides alongside so a restored query
-    sees exactly the state an in-process compile would have left.  The
-    analysis ``unit`` rides in its own chunk: the back end never mutates
-    it, so storing it here lets a warm restore skip the front-end tier
-    entirely (decoders that do not need it leave the chunk untouched).
+    sees exactly the state an in-process compile would have left.
     """
     body = io.BytesIO()
     _w_chunk(body, encode_entry(entry))
@@ -556,23 +556,20 @@ def _encode_fn_be(
         body,
         _binfmt.encode((fn_rtl, entry.generation, map_stats, dep_stats, opt_frag)),
     )
-    _w_chunk(body, _binfmt.encode(unit))
     return _frame(_TAG_BE, body.getvalue())
 
 
-def _decode_fn_be(data: bytes, want_unit: bool = False):
+def _decode_fn_be(data: bytes):
     """Verified decode of :func:`_encode_fn_be` output.
 
-    Returns ``(fn_rtl, entry, map_stats, dep_stats, opt_frag, unit)``;
-    ``unit`` is ``None`` unless ``want_unit`` — the unit chunk is only
-    deserialized when the caller (the manifest-miss path, which may need
-    to re-store the function) asks for it.
+    Returns ``(fn_rtl, entry, map_stats, dep_stats, opt_frag)``.
     """
     try:
         payload = _unframe(_TAG_BE, data)
         entry_bytes, pos = _r_chunk(payload, 0)
         rest, pos = _r_chunk(payload, pos)
-        unit_bytes, _ = _r_chunk(payload, pos)
+        if pos != len(payload):
+            raise CacheCorruption("trailing bytes after be chunks")
         entry = decode_entry(bytes(entry_bytes))
         fn_rtl, generation, map_stats, dep_stats, opt_frag = _binfmt.decode(
             bytes(rest)
@@ -591,12 +588,7 @@ def _decode_fn_be(data: bytes, want_unit: bool = False):
             if not isinstance(opt_frag, OptStats):
                 raise CacheCorruption("decoded opt stats have the wrong type")
         entry.generation = generation
-        unit = None
-        if want_unit:
-            unit = _binfmt.decode(bytes(unit_bytes))
-            if unit is not None and not isinstance(unit, UnitInfo):
-                raise CacheCorruption("decoded unit has the wrong type")
-        return fn_rtl, entry, map_stats, dep_stats, opt_frag, unit
+        return fn_rtl, entry, map_stats, dep_stats, opt_frag
     except CacheCorruption:
         raise
     except Exception as exc:
@@ -824,13 +816,16 @@ class CompilationSession:
                         external_effects=external_effects,
                         extra_salt=extra_salt,
                     )
-                comp, stats, fe_keys, fn_states, active, units = restored
+                comp, stats, fe_keys, fn_states, active = restored
+                comp.frontend = _lazy_frontend(
+                    comp, lambda: self._bump("frontend_decodes")
+                )
                 comp.fn_cache_states = fn_states
                 ctx = PassContext(comp=comp, opts=opts, active_units=active)
                 initial = sorted({a for p in prefix for a in p.provides})
                 make_manager(suffix).run(ctx, initial=initial, stats=stats)
                 comp.pipeline_stats = stats
-                self._store_backend(ctx, suffix, fe_keys, units)
+                self._store_backend(ctx, suffix, fe_keys)
                 span.set(cache=comp.cache_state)
                 return comp
 
@@ -861,9 +856,6 @@ class CompilationSession:
             source=source,
             filename=filename,
             hli=HLIFile(source_filename=man.source_filename),
-            frontend=_lazy_frontend(
-                man.frontend_blob, lambda: self._bump("frontend_decodes")
-            ),
             rtl=RTLProgram(
                 globals_layout=man.globals_layout, init_data=man.init_data
             ),
@@ -875,7 +867,6 @@ class CompilationSession:
         backend_fp = _backend_fp(suffix) if use_be else ""
         fn_states: dict[str, str] = {}
         active: list[str] = []
-        units: dict[str, UnitInfo] = {}
         for name, fe_key in man.fe_keys.items():
             frame = (man.frames[name], man.frame_sizes[name])
             decoded = None
@@ -912,7 +903,7 @@ class CompilationSession:
             if fdec is None:
                 self._evict_corrupt(key, tier, f"function blob missing: {name}")
                 return None
-            entry, unit, fn_rtl = fdec
+            entry, fn_rtl = fdec
             if ftier == "memory":
                 self._bump("fn_hits_memory")
             else:
@@ -926,7 +917,6 @@ class CompilationSession:
             entry.filename = man.source_filename or filename
             comp.rtl.functions[name] = fn_rtl
             comp.hli.add(entry)
-            units[name] = unit
             fn_states[name] = f"fe:{ftier}"
             active.append(name)
         if tier == "memory":
@@ -936,7 +926,7 @@ class CompilationSession:
             self._remember(key, blob)
         _metrics.inc("session.cache.hit", tier)
         stats = PipelineStats(cached_prefix=tuple(p.name for p in prefix))
-        return comp, stats, dict(man.fe_keys), fn_states, active, units
+        return comp, stats, dict(man.fe_keys), fn_states, active
 
     def _frontend_incremental(
         self,
@@ -984,10 +974,8 @@ class CompilationSession:
         use_be = any(p.per_function for p in suffix)
         backend_fp = _backend_fp(suffix) if use_be else ""
         hli = HLIFile(source_filename=program.filename)
-        frontend = builder.frontend_info()
         cached_rtl: dict[str, RTLFunction] = {}
         be_installs: dict[str, tuple] = {}
-        units: dict[str, UnitInfo] = {}
         fn_states: dict[str, str] = {}
         fresh: list[str] = []
         any_hit = False
@@ -1000,7 +988,7 @@ class CompilationSession:
                     bdec = None
                     if bblob is not None:
                         try:
-                            bdec = _decode_fn_be(bblob, want_unit=True)
+                            bdec = _decode_fn_be(bblob)
                         except CacheCorruption as exc:
                             self._evict_corrupt(bkey, btier, str(exc))
                     if bdec is not None:
@@ -1018,8 +1006,6 @@ class CompilationSession:
                         cached_rtl[fn.name] = bdec[0]
                         be_installs[fn.name] = bdec
                         hli.add(entry)
-                        if bdec[5] is not None:
-                            frontend.units[fn.name] = bdec[5]
                         fn_states[fn.name] = f"be:{btier}"
                         any_hit = True
                         continue
@@ -1033,7 +1019,7 @@ class CompilationSession:
                     except CacheCorruption as exc:
                         self._evict_corrupt(fe_key, tier, str(exc))
                 if decoded is not None:
-                    entry, unit, fn_rtl = decoded
+                    entry, fn_rtl = decoded
                     entry.filename = program.filename
                     if tier == "memory":
                         self._bump("fn_hits_memory")
@@ -1048,16 +1034,14 @@ class CompilationSession:
                 else:
                     self._bump("fn_misses")
                     _metrics.inc("session.cache.fn_miss")
-                    entry, unit = builder.build_unit(fn)
+                    entry, _unit = builder.build_unit(fn)
                     fn_states[fn.name] = "cold"
                     fresh.append(fn.name)
                 hli.add(entry)
-                frontend.units[fn.name] = unit
-                units[fn.name] = unit
         stats.passes_run.append("hli-build")
         rtl = lower_program(program, table, cached=cached_rtl)
         stats.passes_run.append("lower")
-        comp.hli, comp.frontend, comp.rtl = hli, frontend, rtl
+        comp.hli, comp.rtl = hli, rtl
         for name, bdec in be_installs.items():
             # Lowering already replayed the frame on the spliced RTL.
             self._install_be(comp, name, bdec, frame=None)
@@ -1068,12 +1052,11 @@ class CompilationSession:
             for name in fresh:
                 self._store(
                     keys.fe[name],
-                    _encode_fn_fe(hli.entries[name], frontend.units[name],
-                                  rtl.functions[name]),
+                    _encode_fn_fe(hli.entries[name], rtl.functions[name]),
                     kind="fe",
                 )
             self._store(key, _encode_manifest(comp, keys.fe), kind="manifest")
-        return comp, stats, dict(keys.fe), fn_states, active, units
+        return comp, stats, dict(keys.fe), fn_states, active
 
     def _install_be(
         self, comp: Compilation, name: str, decoded, frame=None
@@ -1087,7 +1070,7 @@ class CompilationSession:
         (the lowering splice replayed it, or the blob was produced by
         this very compile).
         """
-        fn_rtl, entry, map_stats, dep_stats, opt_frag, _unit = decoded
+        fn_rtl, entry, map_stats, dep_stats, opt_frag = decoded
         if frame is not None:
             fmap, fsize = frame
             fn_rtl.frame = dict(fmap)
@@ -1114,7 +1097,6 @@ class CompilationSession:
         ctx: PassContext,
         suffix: Sequence[Pass],
         fe_keys: dict[str, str],
-        units: dict[str, UnitInfo],
     ) -> None:
         """Store the finished back-end artifacts of every active unit."""
         if not ctx.active_units:
@@ -1123,21 +1105,24 @@ class CompilationSession:
             return
         comp = ctx.comp
         backend_fp = _backend_fp(suffix)
-        for name in ctx.active_units:
-            entry = comp.hli.entries.get(name)
-            fn = comp.rtl.functions.get(name)
-            fe_key = fe_keys.get(name)
-            if entry is None or fn is None or fe_key is None:
-                continue
-            blob = _encode_fn_be(
-                fn,
-                entry,
-                comp.map_stats.get(name),
-                comp.dep_stats.get(name),
-                ctx.fn_opt_stats.get(name),
-                unit=units.get(name),
-            )
-            self._store(_be_key(fe_key, ctx.opts, backend_fp), blob, kind="be")
+        with _trace.span("session.cache.store_backend") as span:
+            stored = 0
+            for name in ctx.active_units:
+                entry = comp.hli.entries.get(name)
+                fn = comp.rtl.functions.get(name)
+                fe_key = fe_keys.get(name)
+                if entry is None or fn is None or fe_key is None:
+                    continue
+                blob = _encode_fn_be(
+                    fn,
+                    entry,
+                    comp.map_stats.get(name),
+                    comp.dep_stats.get(name),
+                    ctx.fn_opt_stats.get(name),
+                )
+                self._store(_be_key(fe_key, ctx.opts, backend_fp), blob, kind="be")
+                stored += 1
+            span.set(stored=stored)
 
     # -- batch / parallel ------------------------------------------------------
 

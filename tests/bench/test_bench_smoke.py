@@ -68,6 +68,31 @@ class TestGatedCommands:
         assert doc["facts"]["decode.roundtrip_ok"] == 1.0
         assert doc["facts"]["decode.blob_bytes"] > 0
 
+    def test_rtl_encode_gate_catches_a_linear_register_scan(self, monkeypatch):
+        # the register dedup the RTL codec used to have: a scan over every
+        # register seen so far, quadratic in the function's size
+        from repro.bench.gates import evaluate, load_gates
+        from repro.bench.runner import run_set
+        from repro.binfmt import rtlcodec
+
+        def linear_rid(self, r):
+            if r is None:
+                return 0
+            key = (r.rid, r.is_float, r.name)
+            for i, seen in enumerate(self.regs):
+                if (seen.rid, seen.is_float, seen.name) == key:
+                    return i + 1
+            self.regs.append(r)
+            return len(self.regs)
+
+        monkeypatch.setattr(rtlcodec._Tables, "rid", linear_rid)
+        report = run_set("quick-v1", iterations=1, warmup=0, paths=("decode",))
+        _set, gates = load_gates(str(REPO_ROOT / "benchmarks/baselines/decode-v1.json"))
+        verdict = {r.gate.metric: r.passed for r in evaluate(report, gates)}
+        assert verdict["decode.roundtrip_ok"]
+        assert verdict["rtl_encode_seconds"]  # the per-program ceiling misses it
+        assert not verdict["rtl_encode_us_per_insn"]
+
 
 _PYTEST_SELECTIONS = {
     "bench_ablations.py": "test_merge_rules_shrink_hli and tomcatv",

@@ -28,7 +28,7 @@ def test_warm_arm_restores_every_function_from_disk_be_blobs():
 
 
 def test_broken_be_decode_shows_in_the_warm_facts(monkeypatch):
-    def corrupt(data, want_unit=False):
+    def corrupt(data):
         raise CacheCorruption("injected by the test")
 
     monkeypatch.setattr(session_mod, "_decode_fn_be", corrupt)

@@ -17,13 +17,15 @@ summary table trips the SHA-256 checksum rather than decoding garbage.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro import binfmt
 from repro.analysis.builder import FrontEndInfo, UnitInfo
 from repro.backend.ddg import DepStats
 from repro.backend.mapping import MapStats
-from repro.backend.rtl import RTLFunction
+from repro.backend.rtl import Insn, MemRef, Opcode, Reg, RTLFunction
 from repro.binfmt.rtlcodec import decode_rtl_function, encode_rtl_function
 from repro.difftest.gen import GenConfig, generate, generate_units
 from repro.driver.compile import Compilation, CompileOptions, compile_source
@@ -92,6 +94,63 @@ class TestRTLFunctionCodec:
         for cut in (0, 1, len(blob) // 3, len(blob) // 2, len(blob) - 1):
             with pytest.raises(binfmt.BinFormatError):
                 decode_rtl_function(blob[:cut])
+
+
+#: (rid, is_float, name) of the registers below; the first two share a
+#: rid and differ only in name, the third only in class
+_REG_KEYS = ((1, False, ""), (1, False, "i"), (1, True, ""), (2, False, "p"))
+
+
+def _reg_function(fresh_regs: bool) -> RTLFunction:
+    """A function using every register of ``_REG_KEYS`` several times:
+    through one shared ``Reg`` object per register, or through a new but
+    equal object at every use."""
+    shared = [Reg(*key) for key in _REG_KEYS]
+
+    def reg(k: int) -> Reg:
+        return Reg(*_REG_KEYS[k]) if fresh_regs else shared[k]
+
+    insns = [
+        Insn(Opcode.LI, dst=reg(0), imm=7, uid=1),
+        Insn(Opcode.MOVE, dst=reg(1), srcs=(reg(0),), uid=2),
+        Insn(Opcode.CVT_IF, dst=reg(2), srcs=(reg(1),), is_float=True, uid=3),
+        Insn(Opcode.LOAD, dst=reg(0), mem=MemRef(addr=reg(3)), uid=4),
+        Insn(Opcode.ADD, dst=reg(1), srcs=(reg(0), reg(1)), uid=5),
+        Insn(Opcode.STORE, srcs=(reg(1),), mem=MemRef(addr=reg(3), is_store=True), uid=6),
+        Insn(Opcode.RET, srcs=(reg(1),), uid=7),
+    ]
+    return RTLFunction(name="regs", insns=insns, param_regs=[reg(3)], ret_reg=reg(1))
+
+
+def _register_rows(blob: bytes) -> int:
+    """Register-table row count, read past the header and string table."""
+    pos = 17  # <II max ids, <I name, <I frame_size, <B ret_is_float
+    (n_strings,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(n_strings):
+        (n,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + n
+    return struct.unpack_from("<I", blob, pos)[0]
+
+
+class TestRegisterDedup:
+    def test_equal_registers_share_one_row(self):
+        shared = encode_rtl_function(_reg_function(fresh_regs=False))
+        fresh = encode_rtl_function(_reg_function(fresh_regs=True))
+        assert fresh == shared
+        assert _register_rows(fresh) == len(_REG_KEYS)
+
+    def test_equal_registers_decode_to_one_object(self):
+        back = decode_rtl_function(encode_rtl_function(_reg_function(fresh_regs=True)))
+        seen: dict[tuple, set[int]] = {}
+        for insn in back.insns:
+            for r in [insn.dst, *insn.src_regs()]:
+                if r is not None:
+                    seen.setdefault((r.rid, r.is_float, r.name), set()).add(id(r))
+        for r in (*back.param_regs, back.ret_reg):
+            seen[(r.rid, r.is_float, r.name)].add(id(r))
+        assert set(seen) == set(_REG_KEYS)
+        assert all(len(ids) == 1 for ids in seen.values())
 
 
 class TestUnitInfoCodec:

@@ -206,12 +206,12 @@ class TestCorruption:
                 _decode_manifest(blob[:cut])
 
     def test_blob_round_trip(self):
-        from repro.analysis.builder import FrontEndInfo
-        from repro import binfmt
+        from repro.driver.session import _TAG_MANIFEST, _r_chunk, _unframe
 
         comp = compile_source(SIMPLE_MAIN, "simple.c")
         fe_keys = self._fake_keys(comp)
-        man = _decode_manifest(_encode_manifest(comp, fe_keys))
+        blob = _encode_manifest(comp, fe_keys)
+        man = _decode_manifest(blob)
         assert man.fe_keys == fe_keys
         assert man.source_filename == comp.hli.source_filename
         assert man.globals_layout == comp.rtl.globals_layout
@@ -219,10 +219,12 @@ class TestCorruption:
         for name, fn in comp.rtl.functions.items():
             assert man.frames[name] == fn.frame
             assert man.frame_sizes[name] == fn.frame_size
-        # the front-end chunk rides along encoded; it must still decode
-        frontend = binfmt.decode(man.frontend_blob)
-        assert isinstance(frontend, FrontEndInfo)
-        assert set(frontend.units) == set(comp.rtl.functions)
+        # exactly two chunks (key table, file-level leftovers): the
+        # manifest carries no front-end state
+        payload = _unframe(_TAG_MANIFEST, blob)
+        _key_table, pos = _r_chunk(payload, 0)
+        _file_chunk, pos = _r_chunk(payload, pos)
+        assert pos == len(payload)
 
     def test_codec_fingerprint_mismatch_is_corruption(self):
         comp = compile_source(SIMPLE_MAIN, "simple.c")
@@ -262,13 +264,12 @@ class TestZeroPickleWarmPath:
         sess = CompilationSession(cache_dir=d)
         comp = sess.compile(SIMPLE_MAIN, "simple.c")
         # every function came from the finished back-end tier: the fe
-        # blobs were never read, the manifest's frontend chunk never
-        # decoded — a warm be hit touches exactly one fe-side artifact
-        # (the manifest itself)
+        # blobs were never read and the front end never re-ran — a warm
+        # be hit touches exactly one fe-side artifact (the manifest)
         assert sess.stats.fe_decodes == 0
         assert sess.stats.frontend_decodes == 0
         assert sess.stats.be_decodes == len(comp.rtl.functions)
-        # first attribute access materializes the lazy frontend
+        # first attribute access re-runs the front end
         assert comp.frontend.units
         assert sess.stats.frontend_decodes == 1
 
@@ -282,6 +283,106 @@ class TestZeroPickleWarmPath:
         assert warm.rtl.globals_layout == cold.rtl.globals_layout
         # materializing the frontend is also pickle-free
         assert sorted(warm.frontend.units) == sorted(cold.frontend.units)
+
+
+# main -> mid -> leaf, with `other` on a disconnected branch
+CHAIN_SOURCE = """\
+int gs0;
+int leaf(int a, int b) {
+    int r = a * b + 1;
+    return r;
+}
+int mid(int a, int b) {
+    int r = leaf(a, b) + a;
+    return r;
+}
+int other(int a, int b) {
+    int r = a - b;
+    gs0 = r;
+    return r;
+}
+int main() {
+    int x = mid(3, 4);
+    int y = other(9, 2);
+    return x + y + gs0;
+}
+"""
+
+
+def _effects(refmod) -> dict:
+    """REF/MOD sets by object name (symbols compare by identity)."""
+
+    def names(objs):
+        return sorted(f"{type(o).__name__}:{getattr(o, 'name', o)}" for o in objs)
+
+    return {fn: (names(e.ref), names(e.mod)) for fn, e in refmod.items()}
+
+
+def _frontend_shape(frontend) -> tuple:
+    return (
+        list(frontend.units),
+        {n: [item.item_id for item in u.items] for n, u in frontend.units.items()},
+        _effects(frontend.refmod),
+    )
+
+
+class TestLazyFrontEnd:
+    """Blobs and session results carry no front-end state: a session's
+    compilation re-runs the front end the first time ``frontend`` is
+    read, once."""
+
+    def _read_once(self, sess, comp) -> tuple:
+        assert sess.stats.frontend_decodes == 0
+        shape = _frontend_shape(comp.frontend)
+        assert sess.stats.frontend_decodes == 1
+        assert _frontend_shape(comp.frontend) == shape
+        assert sess.stats.frontend_decodes == 1
+        return shape
+
+    def test_cold_compile(self):
+        sess = CompilationSession()
+        comp = sess.compile(CHAIN_SOURCE, "chain.c")
+        assert comp.cache_state == "cold"
+        cold = compile_source(CHAIN_SOURCE, "chain.c")
+        assert self._read_once(sess, comp) == _frontend_shape(cold.frontend)
+
+    def test_disk_warm_restore(self, tmp_path):
+        d = tmp_path / "cache"
+        CompilationSession(cache_dir=d).compile(CHAIN_SOURCE, "chain.c")
+        sess = CompilationSession(cache_dir=d)
+        comp = sess.compile(CHAIN_SOURCE, "chain.c")
+        assert comp.cache_state == "disk"
+        cold = compile_source(CHAIN_SOURCE, "chain.c")
+        assert self._read_once(sess, comp) == _frontend_shape(cold.frontend)
+
+    def test_incremental_edit(self, tmp_path):
+        d = tmp_path / "cache"
+        CompilationSession(cache_dir=d).compile(CHAIN_SOURCE, "chain.c")
+        edited = CHAIN_SOURCE.replace("int r = a * b + 1;", "int r = a * b + 2;")
+        sess = CompilationSession(cache_dir=d)
+        comp = sess.compile(edited, "chain.c")
+        assert comp.cache_state == "incremental"
+        assert comp.fn_cache_states["other"] == "be:disk"
+        cold = compile_source(edited, "chain.c")
+        assert self._read_once(sess, comp) == _frontend_shape(cold.frontend)
+
+    def test_whole_program_unit_uses_linked_effects(self, tmp_path):
+        from repro.driver.wpa import compile_whole_program
+        from tests.driver.test_wpa import UNITS
+
+        d = tmp_path / "cache"
+        compile_whole_program(UNITS, session=CompilationSession(cache_dir=d))
+        sess = CompilationSession(cache_dir=d)
+        comp = compile_whole_program(UNITS, session=sess).units["main.c"]
+        assert comp.cache_state == "disk"
+        assert comp.external_effects
+        source = dict(UNITS)["main.c"]
+        linked = compile_source(source, "main.c", external_effects=comp.external_effects)
+        per_file = compile_source(source, "main.c")
+        shape = self._read_once(sess, comp)
+        assert shape == _frontend_shape(linked.frontend)
+        # the linked effects matter: per-file defaults give other REF/MOD
+        assert shape[2] != _effects(per_file.frontend.refmod)
 
 
 class TestShardedDisk:

@@ -63,6 +63,28 @@ class TestSpanTree:
         assert not obs.is_enabled()
 
 
+class TestSessionSpans:
+    def test_backend_store_span_counts_stored_blobs(self):
+        from repro.driver.session import CompilationSession
+
+        comp = CompilationSession().compile(
+            FIG2_SOURCE, "fig2.c", CompileOptions(trace=True)
+        )
+        (store,) = [
+            s for s in trace.iter_spans() if s.name == "session.cache.store_backend"
+        ]
+        assert store.attrs["stored"] == len(comp.rtl.functions) > 0
+        assert store.dur is not None
+
+    def test_untraced_compile_records_no_span(self):
+        from repro.driver.session import CompilationSession
+
+        before = trace.allocated_spans()
+        CompilationSession().compile(FIG2_SOURCE, "fig2.c", CompileOptions())
+        assert list(trace.iter_spans()) == []
+        assert trace.allocated_spans() == before
+
+
 class TestCounters:
     def test_frontend_and_lowering_counters(self):
         _compile_traced(FIG2_SOURCE, "fig2.c")
