@@ -12,6 +12,10 @@ not drift apart:
 * ``csv``   — one row per measurement with its summary statistics;
 * ``json``  — full fidelity (raw values included), round-trippable via
   :meth:`Report.from_json`.
+
+Each report also carries the signature of the host it was measured on
+(:func:`host_signature`), so two reports can be checked for being
+comparable before their numbers are.
 """
 
 from __future__ import annotations
@@ -19,12 +23,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import platform
+import subprocess
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
+from ..binfmt import fingerprint
 from .stats import Summary
 
-__all__ = ["Measurement", "Report"]
+__all__ = ["Measurement", "Report", "host_signature"]
 
 #: schema tag written into every JSON report
 SCHEMA = "repro-bench/v1"
@@ -45,6 +54,33 @@ class Measurement:
         return Summary.from_values(self.values)
 
 
+def _git_commit() -> Optional[str]:
+    """The commit checked out around this source tree, or ``None``."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def host_signature() -> dict:
+    """What a measurement depends on besides the workload: CPU count,
+    interpreter version, machine type, commit and binfmt codec fingerprint."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "commit": _git_commit(),
+        "binfmt_fingerprint": fingerprint(),
+    }
+
+
 @dataclass
 class Report:
     """One benchmark run over one named workload set."""
@@ -59,6 +95,8 @@ class Report:
     facts: dict = field(default_factory=dict)
     #: gate evaluation results, attached by the runner when gating
     gates: list[dict] = field(default_factory=list)
+    #: :func:`host_signature` of the measuring host (empty if unknown)
+    host: dict = field(default_factory=dict)
 
     # -- collection --------------------------------------------------------
 
@@ -107,11 +145,19 @@ class Report:
     # -- rendering ---------------------------------------------------------
 
     def render_brief(self) -> str:
-        lines = [
+        header = (
             f"set {self.set_name} ({len(self.program_digests)} programs, "
             f"digest {self.set_digest[:12]}…, {self.iterations} iterations"
             f" + {self.warmup} warmup)"
-        ]
+        )
+        if self.host:
+            h = self.host
+            header += (
+                f" on {h['cpu_count']} cpu {h['machine']}, python {h['python']}, "
+                f"commit {(h['commit'] or 'none')[:12]}, "
+                f"binfmt {h['binfmt_fingerprint'][:12]}"
+            )
+        lines = [header]
         for path in self.paths():
             parts = []
             for metric in self.metrics(path):
@@ -214,6 +260,7 @@ class Report:
             },
             "facts": self.facts,
             "gates": self.gates,
+            "host": self.host,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -231,6 +278,7 @@ class Report:
             program_digests=dict(doc.get("program_digests", {})),
             facts=doc.get("facts", {}),
             gates=list(doc.get("gates", [])),
+            host=dict(doc.get("host", {})),
         )
         for m in doc["measurements"]:
             report.add(m["path"], m["program"], m["profile"], m["metric"], m["values"])

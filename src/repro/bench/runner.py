@@ -48,7 +48,7 @@ from ..driver.compile import CompileOptions
 from ..driver.session import CompilationSession
 from ..obs import metrics
 from .registry import WorkloadProgram, get_set, materialize, program_digests, set_digest
-from .report import Report
+from .report import Report, host_signature
 
 __all__ = ["PATHS", "WPA_BENCH_JOBS", "run_set"]
 
@@ -402,6 +402,7 @@ def run_set(
         iterations=iterations,
         warmup=warmup,
         program_digests=program_digests(name),
+        host=host_signature(),
     )
     metrics.inc("bench.sets_run")
     say = progress or (lambda _msg: None)

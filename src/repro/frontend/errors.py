@@ -7,18 +7,21 @@ subclass) carrying the source position, so drivers can render uniform
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
-    """A position in a source file (1-based line and column)."""
+class SourcePos(NamedTuple):
+    """A position in a source file (1-based line and column).
+
+    An immutable tuple, which the lexer builds for every token with one
+    ``tuple.__new__`` call.
+    """
 
     line: int
     col: int
     filename: str = "<input>"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial formatting
+    def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.col}"
 
 

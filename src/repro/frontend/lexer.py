@@ -1,66 +1,70 @@
-"""Hand-written lexer for MiniC.
+"""MiniC lexer: one compiled master pattern, matched at the current offset.
 
-The lexer is a straightforward maximal-munch scanner.  It tracks line and
-column positions precisely because the HLI line table (paper Section 2.1)
-identifies items by source line number — a one-off error here would
-silently desynchronize the front-end items from the back-end memory
-references.
+Line and column positions must be exact, because the HLI line table
+(paper Section 2.1) identifies items by source line number — a one-off
+error here would silently desynchronize the front-end items from the
+back-end memory references.
+
+Each match of :data:`_MASTER` skips a whole run of trivia (whitespace,
+``//`` and ``#`` lines, ``/* */`` comments) and then takes one token, so
+the scan loop makes no Python-level call per character, and none per
+token outside string escapes.  The line number advances by the count of
+newlines in the skipped trivia, and the column is the token's offset
+from the last newline.  Tokens and positions are immutable tuples built
+directly with ``tuple.__new__``.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexError, SourcePos
 from .source import SourceFile
 from .tokens import KEYWORDS, Token, TokenKind
 
-# Multi-character operators ordered longest-first so maximal munch works by
-# simple linear scan.
-_MULTI_OPS: list[tuple[str, TokenKind]] = [
-    ("<<", TokenKind.LSHIFT),
-    (">>", TokenKind.RSHIFT),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NE),
-    ("&&", TokenKind.ANDAND),
-    ("||", TokenKind.OROR),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("++", TokenKind.PLUSPLUS),
-    ("--", TokenKind.MINUSMINUS),
-    ("->", TokenKind.ARROW),
-]
-
-_SINGLE_OPS: dict[str, TokenKind] = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "&": TokenKind.AMP,
-    "|": TokenKind.PIPE,
-    "^": TokenKind.CARET,
-    "~": TokenKind.TILDE,
-    "!": TokenKind.BANG,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "=": TokenKind.ASSIGN,
-    "?": TokenKind.QUESTION,
-    ":": TokenKind.COLON,
+#: Spelling -> kind for every keyword and punctuator.  A punctuator's
+#: ``TokenKind`` value is its spelling; every other kind's value starts
+#: with a letter, apart from EOF's ``"<eof>"``.
+_FIXED: dict[str, TokenKind] = {
+    **{k.value: k for k in TokenKind if not k.value[0].isalpha() and k is not TokenKind.EOF},
+    **KEYWORDS,
 }
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
+
+#: A string literal between its quotes: no quote, backslash or newline,
+#: except as one of the escapes of ``_ESCAPES``.
+_STRING_BODY = r"""(?: [^"\\\n] | \\[ntr0\\'"] )*"""
+
+_MASTER = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | \#[^\n]* | /\*.*?\*/ )*     # trivia
+    (?:
+      (?P<word> [A-Za-z_]\w*                                # ident / keyword
+        | << | >> | <= | >= | == | != | && | \|\| | \+= | -= | \*= | /=
+        | \+\+ | -- | ->
+        | \.(?![0-9]) | /(?!\*)             # '.5' is a number, a lone '/*' an error
+        | [-+*%&|^~!<>=?:;,(){}\[\]] )
+    | (?P<hex> 0[xX][0-9A-Fa-f]* )
+    | (?P<number> (?: [0-9]+ (?: \.(?!\.)[0-9]* )? | \.[0-9]+ )
+                  (?: [eE][+-]?[0-9]+ )? [fF]? )
+    | (?P<string> " """ + _STRING_BODY + r""" " )
+    | (?P<char> ' (?: [^\\] | \\[ntr0\\'"] ) ' )
+    | (?P<uword> [^\W\d\x00-\x7f]\w* )   # non-ASCII start: a letter, or a numeric
+                                          # such as '²' that starts no token
+    | (?P<eof> \Z )
+    | (?P<error> . )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_STRING_BODY_AT = re.compile(_STRING_BODY, re.VERBOSE).match
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(m: re.Match[str]) -> str:
+    return _ESCAPES[m[1]]
 
 
 class Lexer:
@@ -68,193 +72,86 @@ class Lexer:
 
     def __init__(self, source: SourceFile) -> None:
         self.source = source
-        self.text = source.text
-        self.n = len(self.text)
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    # -- position helpers -------------------------------------------------
-
-    def _pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col, self.source.filename)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.i >= self.n:
-                return
-            if self.text[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        j = self.i + offset
-        return self.text[j] if j < self.n else ""
-
-    # -- scanning ----------------------------------------------------------
 
     def tokens(self) -> list[Token]:
         """Lex the whole file, returning tokens terminated by one EOF token."""
+        text = self.source.text
+        filename = self.source.filename
+        match = _MASTER.match
+        count = text.count
+        rfind = text.rfind
+        fixed = _FIXED
+        ident = TokenKind.IDENT
+        new = tuple.__new__
         out: list[Token] = []
+        append = out.append
+        pos = 0  # end of the previous token
+        line = 1
+        line_start = 0  # offset of the current line's first character
         while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
+            m = match(text, pos)
+            group = m.lastgroup
+            start, end = m.span(group)
+            if start != pos:  # the match skipped trivia first
+                newlines = count("\n", pos, start)
+                if newlines:
+                    line += newlines
+                    line_start = rfind("\n", pos, start) + 1
+            word = text[start:end]
+            pos = end
+            where = new(SourcePos, (line, start - line_start + 1, filename))
+            if group == "word":
+                append(new(Token, (fixed.get(word, ident), word, where, None)))
+            elif group == "number":
+                if word.isdigit():
+                    append(new(Token, (TokenKind.INT_LIT, word, where, int(word))))
+                else:
+                    value = float(word[:-1] if word[-1] in "fF" else word)
+                    append(new(Token, (TokenKind.FLOAT_LIT, word, where, value)))
+            elif group == "eof":
+                append(new(Token, (TokenKind.EOF, "", where, None)))
                 return out
-
-    def next_token(self) -> Token:
-        """Return the next token, skipping whitespace and comments."""
-        self._skip_trivia()
-        if self.i >= self.n:
-            return Token(TokenKind.EOF, "", self._pos())
-        c = self._peek()
-        if c.isalpha() or c == "_":
-            return self._lex_ident()
-        if c.isdigit() or (c == "." and self._peek(1).isdigit()):
-            return self._lex_number()
-        if c == '"':
-            return self._lex_string()
-        if c == "'":
-            return self._lex_char()
-        return self._lex_operator()
-
-    def _skip_trivia(self) -> None:
-        while self.i < self.n:
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "/" and self._peek(1) == "/":
-                while self.i < self.n and self._peek() != "\n":
-                    self._advance()
-            elif c == "/" and self._peek(1) == "*":
-                start = self._pos()
-                self._advance(2)
-                while self.i < self.n and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.i >= self.n:
-                    raise LexError("unterminated block comment", start)
-                self._advance(2)
-            elif c == "#":
-                # Preprocessor-style lines are treated as comments: MiniC has
-                # no preprocessor, but benchmark sources may carry #include
-                # lines for realism.
-                while self.i < self.n and self._peek() != "\n":
-                    self._advance()
+            elif group == "string":
+                value = _ESCAPE.sub(_unescape, word[1:-1])
+                append(new(Token, (TokenKind.STRING_LIT, f'"{value}"', where, value)))
+            elif group == "char":
+                ch = word[1] if len(word) == 3 else _ESCAPES[word[2]]
+                append(new(Token, (TokenKind.CHAR_LIT, f"'{ch}'", where, ord(ch))))
+                if word[1] == "\n":  # a raw newline between the quotes
+                    line += 1
+                    line_start = start + 2
+            elif group == "hex":
+                if len(word) == 2:
+                    raise LexError("malformed hex literal", where)
+                append(new(Token, (TokenKind.INT_LIT, word, where, int(word, 16))))
+            elif group == "uword" and word[0].isalpha():
+                append(new(Token, (ident, word, where, None)))
             else:
-                return
+                _raise_at(text, start, where)
 
-    def _lex_ident(self) -> Token:
-        pos = self._pos()
-        start = self.i
-        while self.i < self.n and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.text[start : self.i]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, pos)
 
-    def _lex_number(self) -> Token:
-        pos = self._pos()
-        start = self.i
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex(self._peek()):
-                raise LexError("malformed hex literal", pos)
-            while self._is_hex(self._peek()):
-                self._advance()
-            text = self.text[start : self.i]
-            return Token(TokenKind.INT_LIT, text, pos, value=int(text, 16))
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1) != ".":
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("f", "F"):
-            # C float suffix; value is unchanged in MiniC.
-            is_float = True
-            self._advance()
-            text = self.text[start : self.i]
-            return Token(TokenKind.FLOAT_LIT, text, pos, value=float(text[:-1]))
-        text = self.text[start : self.i]
-        if is_float:
-            return Token(TokenKind.FLOAT_LIT, text, pos, value=float(text))
-        return Token(TokenKind.INT_LIT, text, pos, value=int(text))
-
-    @staticmethod
-    def _is_hex(c: str) -> bool:
-        return bool(c) and (c.isdigit() or c.lower() in "abcdef")
-
-    def _lex_string(self) -> Token:
-        pos = self._pos()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.i >= self.n or self._peek() == "\n":
-                raise LexError("unterminated string literal", pos)
-            c = self._peek()
-            if c == '"':
-                self._advance()
-                break
-            if c == "\\":
-                esc = self._peek(1)
-                if esc not in _ESCAPES:
-                    raise LexError(f"unknown escape '\\{esc}'", self._pos())
-                chars.append(_ESCAPES[esc])
-                self._advance(2)
-            else:
-                chars.append(c)
-                self._advance()
-        value = "".join(chars)
-        return Token(TokenKind.STRING_LIT, f'"{value}"', pos, value=value)
-
-    def _lex_char(self) -> Token:
-        pos = self._pos()
-        self._advance()  # opening quote
-        if self.i >= self.n:
-            raise LexError("unterminated char literal", pos)
-        c = self._peek()
-        if c == "\\":
-            esc = self._peek(1)
-            if esc not in _ESCAPES:
-                raise LexError(f"unknown escape '\\{esc}'", self._pos())
-            value = ord(_ESCAPES[esc])
-            self._advance(2)
-        else:
-            value = ord(c)
-            self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated char literal", pos)
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, f"'{chr(value)}'", pos, value=value)
-
-    def _lex_operator(self) -> Token:
-        pos = self._pos()
-        rest = self.text[self.i : self.i + 2]
-        for spelling, kind in _MULTI_OPS:
-            if rest.startswith(spelling):
-                self._advance(len(spelling))
-                return Token(kind, spelling, pos)
-        c = self._peek()
-        kind = _SINGLE_OPS.get(c)
-        if kind is None:
-            raise LexError(f"unexpected character {c!r}", pos)
-        self._advance()
-        return Token(kind, c, pos)
+def _raise_at(text: str, start: int, where: SourcePos) -> None:
+    """Raise the :class:`LexError` for the malformed token at ``start``."""
+    c = text[start]
+    if text.startswith("/*", start):
+        raise LexError("unterminated block comment", where)
+    if c == '"':
+        # The string pattern failed, so its body stops at a newline, the
+        # end of the text, or a backslash that starts no known escape.
+        stop = _STRING_BODY_AT(text, start + 1).end()
+        if text[stop : stop + 1] != "\\":
+            raise LexError("unterminated string literal", where)
+        esc_at = stop
+    elif c == "'":
+        esc_at = start + 1
+        if text[esc_at : esc_at + 1] != "\\" or text[esc_at + 1 : esc_at + 2] in _ESCAPES:
+            raise LexError("unterminated char literal", where)
+    else:
+        raise LexError(f"unexpected character {c!r}", where)
+    esc = text[esc_at + 1 : esc_at + 2]
+    raise LexError(
+        f"unknown escape '\\{esc}'", where._replace(col=where.col + esc_at - start)
+    )
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:

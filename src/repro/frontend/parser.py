@@ -80,12 +80,18 @@ class Parser:
 
     # -- token utilities ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[j]
+    # ``self.i`` never passes the final EOF token (``_advance`` stops
+    # there), so the current token is always ``self.toks[self.i]``.
+
+    def _peek(self, offset: int) -> Token:
+        """The token ``offset`` places ahead; EOF past the end."""
+        try:
+            return self.toks[self.i + offset]
+        except IndexError:
+            return self.toks[-1]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self.toks[self.i].kind is kind
 
     def _advance(self) -> Token:
         tok = self.toks[self.i]
@@ -94,7 +100,7 @@ class Parser:
         return tok
 
     def _expect(self, kind: TokenKind) -> Token:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r}, found {tok.text or tok.kind.value!r}", tok.pos
@@ -102,14 +108,14 @@ class Parser:
         return self._advance()
 
     def _accept(self, kind: TokenKind) -> Token | None:
-        if self._at(kind):
+        if self.toks[self.i].kind is kind:
             return self._advance()
         return None
 
     # -- types ----------------------------------------------------------------
 
     def _at_type(self) -> bool:
-        k = self._peek().kind
+        k = self.toks[self.i].kind
         if k in _TYPE_KEYWORDS:
             return True
         if k is TokenKind.KW_STRUCT:
@@ -119,7 +125,7 @@ class Parser:
         return False
 
     def _parse_base_type(self) -> Type:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind in _TYPE_KEYWORDS:
             self._advance()
             return _TYPE_KEYWORDS[tok.kind]
@@ -154,13 +160,13 @@ class Parser:
         """Parse the full translation unit."""
         prog = ast.Program(line=1, filename=self.source.filename)
         while not self._at(TokenKind.EOF):
-            if self._peek().kind is TokenKind.KW_STRUCT and self._peek(2).kind is TokenKind.LBRACE:
+            if self._at(TokenKind.KW_STRUCT) and self._peek(2).kind is TokenKind.LBRACE:
                 prog.structs.append(self._parse_struct_def())
                 continue
             is_extern = self._accept(TokenKind.KW_EXTERN) is not None
             is_static = self._accept(TokenKind.KW_STATIC) is not None
             if is_extern and is_static:
-                raise ParseError("'extern' and 'static' cannot be combined", self._peek().pos)
+                raise ParseError("'extern' and 'static' cannot be combined", self.toks[self.i].pos)
             self._accept(TokenKind.KW_CONST)
             base = self._parse_base_type()
             ty = self._parse_pointers(base)
@@ -307,7 +313,7 @@ class Parser:
         return ast.Block(line=lb.pos.line, stmts=stmts)
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
+        tok = self.toks[self.i]
         kind = tok.kind
         if kind is TokenKind.LBRACE:
             return self._parse_block()
@@ -342,7 +348,7 @@ class Parser:
         return ast.ExprStmt(line=tok.pos.line, expr=expr)
 
     def _parse_local_decl(self) -> ast.Stmt:
-        tok = self._peek()
+        tok = self.toks[self.i]
         is_static = self._accept(TokenKind.KW_STATIC) is not None
         self._accept(TokenKind.KW_CONST)
         base = self._parse_base_type()
@@ -426,7 +432,7 @@ class Parser:
 
     def _parse_assignment_expr(self) -> ast.Expr:
         lhs = self._parse_conditional()
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind in _ASSIGN_OPS:
             self._advance()
             rhs = self._parse_assignment_expr()
@@ -448,7 +454,7 @@ class Parser:
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            tok = self._peek()
+            tok = self.toks[self.i]
             entry = _BIN_PREC.get(tok.kind)
             if entry is None or entry[0] < min_prec:
                 return lhs
@@ -458,7 +464,7 @@ class Parser:
             lhs = ast.Binary(line=tok.pos.line, op=op, lhs=lhs, rhs=rhs)
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind is TokenKind.MINUS:
             self._advance()
             operand = self._parse_unary()
@@ -497,7 +503,7 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            tok = self._peek()
+            tok = self.toks[self.i]
             if tok.kind is TokenKind.LBRACKET:
                 self._advance()
                 index = self._parse_expr()
@@ -525,7 +531,7 @@ class Parser:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind is TokenKind.INT_LIT:
             self._advance()
             return ast.IntLit(line=tok.pos.line, value=int(tok.value))  # type: ignore[arg-type]

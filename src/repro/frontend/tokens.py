@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourcePos
 
@@ -105,9 +105,8 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexed token.
+class Token(NamedTuple):
+    """A single lexed token (an immutable tuple).
 
     Attributes
     ----------

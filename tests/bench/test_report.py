@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.report import SCHEMA, Report
+from repro.bench.report import SCHEMA, Report, host_signature
 from repro.bench.stats import Summary
 
 
@@ -123,3 +123,56 @@ class TestRendering:
              "passed": True, "why": ""},
         ]
         assert "gate PASS" in r.render_brief()
+
+
+class TestHostSignature:
+    def test_signature_fields(self):
+        import os
+        import platform
+
+        from repro.binfmt import fingerprint
+
+        host = host_signature()
+        assert host["cpu_count"] == os.cpu_count()
+        assert host["python"] == platform.python_version()
+        assert host["machine"] == platform.machine()
+        assert host["binfmt_fingerprint"] == fingerprint()
+        commit = host["commit"]
+        assert commit is None or (len(commit) == 40 and int(commit, 16) >= 0)
+
+    def test_json_round_trip(self):
+        r = _report()
+        r.host = host_signature()
+        doc = json.loads(r.to_json())
+        assert doc["host"] == r.host
+        assert Report.from_json(r.to_json()).host == r.host
+
+    def test_report_without_host_still_loads(self):
+        doc = _report().to_dict()
+        del doc["host"]
+        assert Report.from_dict(doc).host == {}
+
+    def test_brief_header_names_the_host(self):
+        r = _report()
+        r.host = {
+            "cpu_count": 2,
+            "python": "3.11.7",
+            "machine": "x86_64",
+            "commit": "0123456789abcdef0123456789abcdef01234567",
+            "binfmt_fingerprint": "fe" * 32,
+        }
+        header = r.render_brief().splitlines()[0]
+        assert header.startswith("set quick-v1 (3 programs")
+        assert header.endswith(
+            "on 2 cpu x86_64, python 3.11.7, commit 0123456789ab, binfmt fefefefefefe"
+        )
+        r.host["commit"] = None
+        assert "commit none," in r.render_brief().splitlines()[0]
+        assert _report().render_brief().splitlines()[0].endswith("1 warmup)")
+
+    def test_runner_records_the_host(self, monkeypatch):
+        from repro.bench import runner
+
+        monkeypatch.setattr(runner, "materialize", lambda name: ())
+        report = runner.run_set("quick-v1", iterations=1, warmup=0, paths=("session",))
+        assert report.host == host_signature()

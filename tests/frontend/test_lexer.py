@@ -186,3 +186,103 @@ class TestLexerProperties:
         toks = tokenize(text)
         assert toks[-1].kind is TokenKind.EOF
         assert len(toks) == len(parts) + 1
+
+
+class TestNonDecimalDigits:
+    """Numeric literals are ASCII; a character that starts no token is a
+    LexError at its own position, never an uncaught ``int()`` failure."""
+
+    def test_superscript_digit_after_a_number(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("return 2²;", "sq.c")
+        assert str(exc.value) == "sq.c:1:9: unexpected character '²'"
+
+    @pytest.mark.parametrize("text", ["²", "²x", "½", "Ⅻ", "١٢٣"])
+    def test_non_letter_numerics_start_no_token(self, text):
+        with pytest.raises(LexError) as exc:
+            tokenize(text, "n.c")
+        assert str(exc.value) == f"n.c:1:1: unexpected character {text[0]!r}"
+
+    def test_non_ascii_decimal_digit_ends_a_number(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("x = 1٣;", "n.c")
+        assert str(exc.value) == "n.c:1:6: unexpected character '٣'"
+
+    def test_letters_and_numerics_continue_identifiers(self):
+        assert [(t.kind, t.text) for t in tokenize("é a² x١ _½")[:-1]] == [
+            (TokenKind.IDENT, "é"),
+            (TokenKind.IDENT, "a²"),
+            (TokenKind.IDENT, "x١"),
+            (TokenKind.IDENT, "_½"),
+        ]
+
+
+class TestTokenContract:
+    def test_token_fields_are_read_only(self):
+        tok = tokenize("x")[0]
+        with pytest.raises(AttributeError):
+            tok.text = "y"
+        with pytest.raises(AttributeError):
+            tok.kind = TokenKind.KW_INT
+
+    def test_pos_fields_are_read_only(self):
+        pos = tokenize("x")[0].pos
+        with pytest.raises(AttributeError):
+            pos.line = 2
+        with pytest.raises(AttributeError):
+            pos.col = 2
+
+    def test_equal_tokens_compare_and_hash_equal(self):
+        first = tokenize("x = 1.5; // c\n'a'", "f.c")
+        second = tokenize("x = 1.5; // c\n'a'", "f.c")
+        assert first == second
+        assert [hash(t) for t in first] == [hash(t) for t in second]
+        assert len(set(first) | set(second)) == len(first)
+        assert tokenize("x", "f.c")[0] != tokenize("x", "g.c")[0]
+
+    def test_str_of_pos_is_file_line_col(self):
+        tok = tokenize("\n  /* a\n b */ int", "f.c")[0]
+        assert str(tok.pos) == "f.c:3:7"
+
+    def test_every_punctuator_lexes_to_its_own_kind(self):
+        from repro.frontend.tokens import KEYWORDS
+
+        named = {
+            TokenKind.IDENT,
+            TokenKind.INT_LIT,
+            TokenKind.FLOAT_LIT,
+            TokenKind.STRING_LIT,
+            TokenKind.CHAR_LIT,
+            TokenKind.EOF,
+        }
+        punctuators = set(TokenKind) - named - set(KEYWORDS.values())
+        assert len(punctuators) == 39
+        for kind in punctuators:
+            assert kinds(kind.value) == [kind], kind
+
+
+class TestLexerCost:
+    def test_at_most_one_python_call_per_source_character(self):
+        """Counted, not timed: the scan loop must not call back into
+        Python per character (the per-character scanner made ~5.9)."""
+        import sys
+
+        from repro.bench.registry import materialize
+
+        (prog,) = [p for p in materialize("quick-v1") if p.name == "deepcall-000"]
+        ((filename, source),) = prog.units
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            toks = tokenize(source, filename)
+        finally:
+            sys.setprofile(previous)
+        assert (len(source), len(toks)) == (3459, 1497)
+        assert calls / len(source) <= 1.0

@@ -88,6 +88,12 @@ class TestErrors:
         assert cli.main([str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_decimal_digit_is_a_positioned_lex_error(self, tmp_path, capsys):
+        bad = tmp_path / "sq.c"
+        bad.write_text("int main() {\n    return 2\u00b2;\n}\n", encoding="utf-8")
+        assert cli.main([str(bad)]) == 2
+        assert f"{bad}:2:13: unexpected character '\u00b2'" in capsys.readouterr().err
+
     def test_bad_unroll_is_usage_error(self, source_file):
         with pytest.raises(SystemExit):
             cli.main([source_file, "--unroll", "0"])
