@@ -49,7 +49,7 @@ _MASTER = re.compile(
     | (?P<number> (?: [0-9]+ (?: \.(?!\.)[0-9]* )? | \.[0-9]+ )
                   (?: [eE][+-]?[0-9]+ )? [fF]? )
     | (?P<string> " """ + _STRING_BODY + r""" " )
-    | (?P<char> ' (?: [^\\] | \\[ntr0\\'"] ) ' )
+    | (?P<char> ' (?: [^\\'\n] | \\[ntr0\\'"] ) ' )
     | (?P<uword> [^\W\d\x00-\x7f]\w* )   # non-ASCII start: a letter, or a numeric
                                           # such as '²' that starts no token
     | (?P<eof> \Z )
@@ -117,9 +117,6 @@ class Lexer:
             elif group == "char":
                 ch = word[1] if len(word) == 3 else _ESCAPES[word[2]]
                 append(new(Token, (TokenKind.CHAR_LIT, f"'{ch}'", where, ord(ch))))
-                if word[1] == "\n":  # a raw newline between the quotes
-                    line += 1
-                    line_start = start + 2
             elif group == "hex":
                 if len(word) == 2:
                     raise LexError("malformed hex literal", where)

@@ -17,14 +17,22 @@ table (:func:`_decode`): branch targets become indices, registers and
 immediates become slots of a list frame, the ALU operation is picked
 per opcode and ``is_float``, and every instruction without a memory
 address gets one :class:`TraceEvent` that all of its executions share.
+
+The unit of execution is the straight-line run: the table entries from
+a branch target or call return up to and including the next J, BEQZ,
+BNEZ, CALL or RET.  Runs are split off the table lazily, by start
+index (:func:`_split`); each executes its body in one inner loop, takes
+one step-limit check, and is recorded in the :class:`RunTrace` once,
+with one address per load or store.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from ..backend.rtl import Insn, Opcode, Reg, RTLFunction, RTLProgram
 from ..obs import metrics, trace
@@ -44,14 +52,106 @@ class _ExitProgram(Exception):
 class TraceEvent:
     """One executed instruction, with its resolved memory address (if any).
 
-    Events are immutable because the executor shares them: every
-    execution of an instruction without a memory address appends the
-    same event object, so a trace holds one object per static
-    instruction plus one per executed load or store.
+    Events are immutable because traces share them: every execution of
+    an instruction without a memory address reads as the same event
+    object, and only an executed load or store gets its own.
     """
 
     insn: Insn
     addr: Optional[int] = None
+
+
+class Run:
+    """One straight-line run as a trace records it.
+
+    ``insns`` are the instructions it executed, in order, labels and
+    NOPs left out.  ``events[i]`` is the event all executions of
+    ``insns[i]`` share, or None for a load or store, whose executions
+    each take the next address of :attr:`RunTrace.addrs`.  Runs are
+    static: every execution of one appends the same object, so a
+    consumer can key per-run facts by identity.
+    """
+
+    __slots__ = ("insns", "events")
+
+    def __init__(self, insns: tuple[Insn, ...], events: tuple[Optional[TraceEvent], ...]):
+        self.insns = insns
+        self.events = events
+
+
+class RunTrace:
+    """A dynamic trace: the executed runs, in order, and the address of
+    every executed load and store, in order.
+
+    It reads as the sequence of :class:`TraceEvent` it stands for:
+    ``len`` is the number of executed instructions, and iteration and
+    indexing expand the runs into events, sharing one event per
+    instruction without a memory address and building a fresh one per
+    memory access.  A trace equals the list (or trace) of the same
+    events.
+    """
+
+    __slots__ = ("runs", "addrs")
+
+    def __init__(self, runs: Optional[list[Run]] = None, addrs: Optional[list] = None):
+        self.runs: list[Run] = [] if runs is None else runs
+        self.addrs: list = [] if addrs is None else addrs
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> RunTrace:
+        """``events`` as a trace of one-instruction runs (a trace is
+        returned as it is).  Loads and stores keep their addresses; an
+        address on any other instruction is dropped, as the executor
+        never records one."""
+        if isinstance(events, RunTrace):
+            return events
+        runs: list[Run] = []
+        addrs: list = []
+        single: dict[int, Run] = {}
+        for ev in events:
+            insn = ev.insn
+            run = single.get(id(insn))
+            if run is None:
+                memory = insn.op is Opcode.LOAD or insn.op is Opcode.STORE
+                shared = None if memory else TraceEvent(insn)
+                run = single[id(insn)] = Run((insn,), (shared,))
+            runs.append(run)
+            if run.events[0] is None:
+                addrs.append(ev.addr)
+        return cls(runs, addrs)
+
+    def __len__(self) -> int:
+        return sum([len(run.insns) for run in self.runs])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        addrs = iter(self.addrs)
+        for run in self.runs:
+            for insn, ev in zip(run.insns, run.events):
+                yield ev if ev is not None else TraceEvent(insn, next(addrs))
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        if index < 0:
+            index += len(self)
+        taken = 0  # addresses of the runs before the one holding ``index``
+        for run in self.runs:
+            if 0 <= index < len(run.insns):
+                ev = run.events[index]
+                if ev is None:
+                    ev = TraceEvent(
+                        run.insns[index], self.addrs[taken + run.events[:index].count(None)]
+                    )
+                return ev
+            index -= len(run.insns)
+            taken += run.events.count(None)
+        raise IndexError("trace index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RunTrace, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RunTrace({len(self.runs)} runs, {len(self)} events)"
 
 
 @dataclass
@@ -61,7 +161,7 @@ class ExecResult:
     ret: object = None
     output: list[str] = field(default_factory=list)
     steps: int = 0
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: RunTrace = field(default_factory=RunTrace)
     memory: dict[int, object] = field(default_factory=dict)
 
 
@@ -82,8 +182,8 @@ def _cmod(a: int, b: int) -> int:
 
 
 #: Two-operand integer operations (and the comparisons, which ignore
-#: ``is_float``).  Integer division by zero raises ``ZeroDivisionError``,
-#: which the run loop reports as an :class:`ExecutionError`.
+#: ``is_float``).  Integer division by zero raises ``ZeroDivisionError``;
+#: :func:`_decode` wraps DIV and MOD in :func:`_trap_zero`.
 _BINARY = {
     Opcode.ADD: lambda a, b: _s32(int(a + b)),
     Opcode.SUB: lambda a, b: _s32(int(a - b)),
@@ -114,14 +214,28 @@ _UNARY = {
 }
 _FLOAT_UNARY = {Opcode.NEG: operator.neg}
 
-# Kinds of decoded instruction, in the order the run loop tests them
-# (most frequent first).  Every table entry is
+
+def _trap_zero(fun, what: str, line: int):
+    """``fun``, raising an :class:`ExecutionError` that names ``line`` on
+    a zero divisor."""
+
+    def checked(a, b):
+        try:
+            return fun(a, b)
+        except ZeroDivisionError:
+            raise ExecutionError(f"integer {what} by zero at line {line}") from None
+
+    return checked
+
+
+# Kinds of decoded instruction.  Every table entry is
 # ``(kind, event, a, b, c, d)``; the operand meaning per kind is given
-# in :func:`_decode`.  ``_END`` and ``_NO_LABEL`` are not instructions:
-# they sit after the last one, take no step, and are numbered last so
-# the step-limit test can skip them with one comparison.
-(_BINARY_OP, _SET, _SKIP, _MOVE, _BEQZ, _BNEZ, _LOAD, _STORE, _J, _UNARY_OP,
- _CALL, _RET, _FAULT, _END, _NO_LABEL) = range(15)
+# in :func:`_decode`.  Kinds up to ``_UNARY_OP`` make up a run's body;
+# the rest end a run, and the trace records those before ``_FAULT``.
+# ``_END`` and ``_NO_LABEL`` are not instructions: they sit after the
+# last one and take no step.
+(_BINARY_OP, _SET, _SKIP, _MOVE, _LOAD, _STORE, _UNARY_OP,
+ _BEQZ, _BNEZ, _J, _CALL, _RET, _FAULT, _END, _NO_LABEL) = range(15)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +247,17 @@ class _Code:
     #: initial register frame: 0 per register slot, the value per immediate
     frame: list[object]
     param_slots: list[int]
+    #: start index -> the run starting there (see :func:`_split`), or None
+    #: until a run first starts there
+    runs: list[Optional[tuple]]
 
 
 def _decode(fn: RTLFunction, program: RTLProgram) -> _Code:
     """Translate ``fn`` into a flat instruction table.
 
     Entries by kind (``ev`` is the instruction's shared event; loads and
-    stores carry the instruction instead, since each execution gets its
-    own event with the address):
+    stores carry the instruction instead, since each execution records
+    its own address):
 
     * ``_SET``: ``a`` slot := constant ``b`` (LI, LA, MOVE of an immediate)
     * ``_MOVE``: ``a`` := slot ``b``
@@ -219,6 +336,9 @@ def _decode(fn: RTLFunction, program: RTLProgram) -> _Code:
             entry = (_UNARY_OP, ev, slot(insn.dst), fun, slot(insn.srcs[0]), None)
         elif op in _BINARY:
             fun = (_FLOAT_BINARY if insn.is_float else _BINARY).get(op, _BINARY[op])
+            if fun is _BINARY[op] and (op is Opcode.DIV or op is Opcode.MOD):
+                what = "division" if op is Opcode.DIV else "modulo"
+                fun = _trap_zero(fun, what, insn.line)
             b = insn.srcs[1] if len(insn.srcs) > 1 else None
             entry = (_BINARY_OP, ev, slot(insn.dst), fun, slot(insn.srcs[0]), slot(b))
         else:  # pragma: no cover - every Opcode is handled above
@@ -229,7 +349,47 @@ def _decode(fn: RTLFunction, program: RTLProgram) -> _Code:
         message = f"branch to undefined label '{label}' in {fn.name}"
         table.append((_NO_LABEL, None, message, None, None, None))
     params = [slot(reg) for reg in fn.param_regs]
-    return _Code(fn.name, table, frame, params)
+    return _Code(fn.name, table, frame, params, [None] * len(table))
+
+
+def _split(code: _Code, start: int, limit: Optional[int] = None) -> tuple:
+    """The run of ``code`` starting at table index ``start``, as
+    ``(body, steps, kind, a, b, c, next, run)``.
+
+    ``body`` holds the entries before the one that ends the run, as
+    ``(kind, a, b, c, d)``, labels and NOPs left out.  ``steps`` counts
+    every entry of the run, labels too, but not an ``_END`` or
+    ``_NO_LABEL`` ending.  ``kind``, ``a``, ``b`` and ``c`` are the
+    ending entry's, ``next`` is the index after it, and ``run`` is the
+    :class:`Run` the trace records.  With ``limit``, the run is cut
+    after its first ``limit`` steps and ends in a step-limit fault.
+    """
+    table = code.table
+    body: list[tuple] = []
+    insns: list[Insn] = []
+    events: list[Optional[TraceEvent]] = []
+    pc = start
+    while True:
+        kind, ev, a, b, c, d = table[pc]
+        if pc - start == limit:
+            kind, ev, a = _FAULT, None, f"step limit exceeded in {code.name}"
+        if kind > _UNARY_OP:
+            break
+        if kind is not _SKIP:
+            body.append((kind, a, b, c, d))
+            if kind is _LOAD or kind is _STORE:
+                insns.append(ev)
+                events.append(None)
+            else:
+                insns.append(ev.insn)
+                events.append(ev)
+        pc += 1
+    if kind < _FAULT:
+        insns.append(ev.insn)
+        events.append(ev)
+    steps = pc - start + (kind < _END)
+    run = Run(tuple(insns), tuple(events))
+    return tuple(body), steps, kind, a, b, c, pc + 1, run
 
 
 class Executor:
@@ -249,7 +409,7 @@ class Executor:
         self.max_steps = max_steps
         self.collect_trace = collect_trace
         self.steps = 0
-        self.trace: list[TraceEvent] = []
+        self.trace = RunTrace()
         self.output: list[str] = []
         self._heap_next = 0x4000000
         self._rand_state = 12345
@@ -295,89 +455,66 @@ class Executor:
         regs = code.frame.copy()
         for s, val in zip(code.param_slots, args):
             regs[s] = val
-        table = code.table
+        runs = code.runs
         mem = self.memory
-        append = self.trace.append
         collect = self.collect_trace
+        record = self.trace.runs.append
+        # without a trace, addresses go to a queue that keeps none
+        push = self.trace.addrs.append if collect else deque(maxlen=0).append
         limit = self.max_steps
         steps = self.steps
         pc = 0
-        try:
-            while True:
-                kind, ev, a, b, c, d = table[pc]
-                steps += 1
-                if steps > limit and kind < _END:
-                    self.steps = steps
-                    raise ExecutionError(f"step limit exceeded in {code.name}")
-                if kind is _BINARY_OP:
-                    regs[a] = b(regs[c], regs[d])
-                elif kind is _SET:
-                    regs[a] = b
-                elif kind is _SKIP:
-                    pc += 1
-                    continue
-                elif kind is _MOVE:
-                    regs[a] = regs[b]
-                elif kind is _BEQZ:
-                    if collect:
-                        append(ev)
-                    pc = b if regs[a] == 0 else pc + 1
-                    continue
-                elif kind is _BNEZ:
-                    if collect:
-                        append(ev)
-                    pc = b if regs[a] != 0 else pc + 1
-                    continue
-                elif kind is _LOAD:
-                    addr = regs[b]
-                    regs[a] = mem.get(addr, c)
-                    if collect:
-                        append(TraceEvent(ev, addr))
-                    pc += 1
-                    continue
-                elif kind is _STORE:
-                    addr = regs[b]
-                    mem[addr] = regs[a]
-                    if collect:
-                        append(TraceEvent(ev, addr))
-                    pc += 1
-                    continue
-                elif kind is _J:
-                    if collect:
-                        append(ev)
-                    pc = a
-                    continue
-                elif kind is _UNARY_OP:
-                    regs[a] = b(regs[c])
-                elif kind is _CALL:
-                    if collect:
-                        append(ev)
-                    self.steps = steps
-                    result = self._call(b, tuple([regs[s] for s in c]))
-                    steps = self.steps
-                    if a is not None:
-                        regs[a] = result
-                    pc += 1
-                    continue
-                elif kind is _RET:
-                    if collect:
-                        append(ev)
-                    self.steps = steps
-                    return regs[a] if a is not None else 0
-                elif kind is _END:
-                    self.steps = steps - 1
-                    return 0
-                else:  # _FAULT, _NO_LABEL
-                    raise ExecutionError(a)
-                if collect:
-                    append(ev)
-                pc += 1
-        except ZeroDivisionError:
-            kind, ev = table[pc][:2]
-            if kind is not _BINARY_OP:
-                raise
-            what = "division" if ev.insn.op is Opcode.DIV else "modulo"
-            raise ExecutionError(f"integer {what} by zero at line {ev.insn.line}") from None
+        while True:
+            entry = runs[pc]
+            if entry is None:
+                entry = runs[pc] = _split(code, pc)
+            if steps + entry[1] > limit and entry[1]:
+                # step exactly up to the limit and fault on the next step;
+                # a run of no steps (an _END or _NO_LABEL) never does
+                entry = _split(code, pc, max(limit - steps, 0))
+            body, n, kind, a, b, c, nxt, run = entry
+            steps += n
+            for op, w, x, y, z in body:
+                if op is _BINARY_OP:
+                    regs[w] = x(regs[y], regs[z])
+                elif op is _SET:
+                    regs[w] = x
+                elif op is _MOVE:
+                    regs[w] = regs[x]
+                elif op is _LOAD:
+                    addr = regs[x]
+                    regs[w] = mem.get(addr, y)
+                    push(addr)
+                elif op is _STORE:
+                    addr = regs[x]
+                    mem[addr] = regs[w]
+                    push(addr)
+                else:  # _UNARY_OP
+                    regs[w] = x(regs[y])
+            if collect:
+                record(run)
+            if kind is _BEQZ:
+                pc = b if regs[a] == 0 else nxt
+            elif kind is _J:
+                pc = a
+            elif kind is _CALL:
+                self.steps = steps
+                result = self._call(b, tuple([regs[s] for s in c]))
+                steps = self.steps
+                if a is not None:
+                    regs[a] = result
+                pc = nxt
+            elif kind is _RET:
+                self.steps = steps
+                return regs[a] if a is not None else 0
+            elif kind is _BNEZ:
+                pc = b if regs[a] != 0 else nxt
+            elif kind is _END:
+                self.steps = steps
+                return 0
+            else:  # _FAULT, _NO_LABEL
+                self.steps = steps
+                raise ExecutionError(a)
 
     # -- externals ----------------------------------------------------------------
 

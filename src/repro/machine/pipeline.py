@@ -20,10 +20,26 @@ from dataclasses import dataclass
 
 from ..backend.rtl import Insn, Opcode
 from ..obs import metrics, trace
-from .executor import TraceEvent
+from .executor import Run, RunTrace, TraceEvent
 from .latencies import r4600_latency
 
 _BRANCHES = {Opcode.J, Opcode.BEQZ, Opcode.BNEZ}
+
+
+def run_records(run: Run, record, slots: dict[int, int], ready: list[int]) -> tuple:
+    """``record(insn, reg)`` for each instruction of ``run``, labels left
+    out.  ``reg`` gives a register its index into ``ready``, numbering
+    registers in ``slots`` as they are first seen and growing ``ready``
+    by a cycle-0 entry for each."""
+
+    def reg(r) -> int:
+        index = slots.get(r.rid)
+        if index is None:
+            index = slots[r.rid] = len(ready)
+            ready.append(0)
+        return index
+
+    return tuple(record(insn, reg) for insn in run.insns if insn.op is not Opcode.LABEL)
 
 
 @dataclass
@@ -52,54 +68,57 @@ class R4600Model:
         self.branch_penalty = branch_penalty
         self.cache = cache
 
-    def time(self, events: list[TraceEvent]) -> TimingResult:
+    def time(self, events: RunTrace | list[TraceEvent]) -> TimingResult:
         with trace.span("machine.time", machine=self.name):
-            result = self._time(events)
+            result = self._time(RunTrace.of(events))
         if metrics.is_enabled():
             metrics.add("machine.cycles.r4600", result.cycles)
             metrics.add("machine.insns.r4600", result.instructions)
         return result
 
-    def _time(self, trace: list[TraceEvent]) -> TimingResult:
-        ready: dict[int, int] = {}
+    def _time(self, trace: RunTrace) -> TimingResult:
+        #: ready cycle per register, by the register's index in ``slots``
+        ready: list[int] = []
+        slots: dict[int, int] = {}
         clock = 0
         count = 0
         cache = self.cache
         if cache is not None:
             cache.reset()
-        #: id(insn) -> (source rids, destination rid, latency, stall after
-        #: issue, probes the cache), or None for a label
-        records: dict[int, tuple | None] = {}
-        for ev in trace:
-            insn = ev.insn
-            try:
-                rec = records[id(insn)]
-            except KeyError:
-                rec = records[id(insn)] = self._record(insn)
-            if rec is None:
-                continue
-            srcs, dst, lat, after, probe = rec
-            count += 1
-            issue = clock + 1
-            for rid in srcs:
-                t = ready.get(rid, 0)
-                if t > issue:
-                    issue = t
-            extra = 0
-            if probe and ev.addr is not None:
-                extra = cache.penalty(ev.addr)
-            if dst is not None:
-                ready[dst] = issue + lat + extra
-            elif extra:
-                issue += extra  # a missing store occupies the bus
-            clock = issue + after
+        addrs = trace.addrs
+        taken = 0  # addresses read so far
+        #: run -> its instructions' records (see _record), labels left out
+        records: dict[Run, tuple] = {}
+        for run in trace.runs:
+            recs = records.get(run)
+            if recs is None:
+                recs = records[run] = run_records(run, self._record, slots, ready)
+            count += len(recs)
+            for srcs, dst, lat, after, probe in recs:
+                issue = clock + 1
+                for r in srcs:
+                    t = ready[r]
+                    if t > issue:
+                        issue = t
+                if probe:
+                    addr = addrs[taken]
+                    taken += 1
+                    extra = cache.penalty(addr) if addr is not None else 0
+                    if dst is not None:
+                        ready[dst] = issue + lat + extra
+                    else:
+                        issue += extra  # a missing store occupies the bus
+                elif dst is not None:
+                    ready[dst] = issue + lat
+                clock = issue + after
         return TimingResult(cycles=clock, instructions=count)
 
-    def _record(self, insn: Insn) -> tuple | None:
-        """The timing facts of one static instruction."""
+    def _record(self, insn: Insn, reg) -> tuple:
+        """The timing facts of one static instruction: source and
+        destination register indices, latency, stall after issue, and
+        whether it probes the cache (loads and stores, when there is
+        one)."""
         op = insn.op
-        if op is Opcode.LABEL:
-            return None
         if op in _BRANCHES:
             after = self.branch_penalty
         elif op is Opcode.CALL:
@@ -107,9 +126,9 @@ class R4600Model:
         else:
             after = 0
         return (
-            tuple(r.rid for r in insn.src_regs()),
-            insn.dst.rid if insn.dst is not None else None,
+            tuple(reg(r) for r in insn.src_regs()),
+            reg(insn.dst) if insn.dst is not None else None,
             r4600_latency(insn),
             after,
-            self.cache is not None and insn.mem is not None,
+            self.cache is not None and (op is Opcode.LOAD or op is Opcode.STORE),
         )

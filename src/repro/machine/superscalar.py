@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from ..backend.rtl import Insn, Opcode
 from ..obs import metrics, trace
-from .executor import TraceEvent
+from .executor import Run, RunTrace, TraceEvent
 from .latencies import r10000_latency
-from .pipeline import TimingResult
+from .pipeline import TimingResult, run_records
 
 _BRANCHES = {Opcode.J, Opcode.BEQZ, Opcode.BNEZ}
 
@@ -51,15 +51,15 @@ class R10000Model:
         #: optional MemoryHierarchy adding cache-miss penalties
         self.cache = cache
 
-    def time(self, events: list[TraceEvent]) -> TimingResult:
+    def time(self, events: RunTrace | list[TraceEvent]) -> TimingResult:
         with trace.span("machine.time", machine=self.name):
-            result = self._time(events)
+            result = self._time(RunTrace.of(events))
         if metrics.is_enabled():
             metrics.add("machine.cycles.r10000", result.cycles)
             metrics.add("machine.insns.r10000", result.instructions)
         return result
 
-    def _time(self, trace: list[TraceEvent]) -> TimingResult:
+    def _time(self, trace: RunTrace) -> TimingResult:
         cfg = self.config
         width = cfg.width
         window_size = cfg.window
@@ -67,91 +67,104 @@ class R10000Model:
         cache = self.cache
         if cache is not None:
             cache.reset()
-        ready: dict[int, int] = {}
-        #: completion cycles of the instructions currently in the window
-        window: list[int] = []
+        #: ready cycle per register, by the register's index in ``slots``
+        ready: list[int] = []
+        slots: dict[int, int] = {}
+        #: completion cycles of the last ``window_size`` instructions, as a
+        #: ring whose next slot holds the oldest (0 before it fills, which
+        #: never stalls fetch)
+        window = [0] * window_size
+        oldest_at = 0
         #: pending stores in the window: (addr, addr_ready, data_ready)
         stores: list[tuple[int, int, int]] = []
         fetch_cycle = 0
         fetched_this_cycle = 0
         clock_last_retire = 0
         count = 0
-        #: id(insn) -> (source rids, destination rid, latency, kind, probes
-        #: the cache), or None for a label
-        records: dict[int, tuple | None] = {}
-        for ev in trace:
-            insn = ev.insn
-            try:
-                rec = records[id(insn)]
-            except KeyError:
-                rec = records[id(insn)] = self._record(insn)
-            if rec is None:
-                continue
-            srcs, dst, lat, kind, probe = rec
-            count += 1
-            # ---- fetch: 4-wide, in-order, window-limited -------------------
-            if fetched_this_cycle >= width:
-                fetch_cycle += 1
-                fetched_this_cycle = 0
-            if len(window) >= window_size:
+        addrs = trace.addrs
+        taken = 0  # addresses read so far
+        #: run -> its instructions' records (see _record), labels left out
+        records: dict[Run, tuple] = {}
+        for run in trace.runs:
+            recs = records.get(run)
+            if recs is None:
+                recs = records[run] = run_records(run, self._record, slots, ready)
+            count += len(recs)
+            for srcs, dst, lat, kind in recs:
+                # ---- fetch: 4-wide, in-order, window-limited ---------------
+                if fetched_this_cycle >= width:
+                    fetch_cycle += 1
+                    fetched_this_cycle = 0
                 # stall fetch until the oldest instruction retires
-                oldest = window.pop(0)
+                oldest = window[oldest_at]
                 if oldest > fetch_cycle:
                     fetch_cycle = oldest
                     fetched_this_cycle = 0
-            fetched_this_cycle += 1
+                fetched_this_cycle += 1
 
-            # ---- issue ------------------------------------------------------
-            issue = fetch_cycle + 1
-            for rid in srcs:
-                t = ready.get(rid, 0)
-                if t > issue:
-                    issue = t
-            if probe and ev.addr is not None:
-                lat += cache.penalty(ev.addr)
+                # ---- issue --------------------------------------------------
+                issue = fetch_cycle + 1
+                for r in srcs:
+                    t = ready[r]
+                    if t > issue:
+                        issue = t
+                if kind is _OTHER:
+                    complete = issue + lat
+                elif kind is _LOAD:
+                    addr = addrs[taken]
+                    taken += 1
+                    if cache is not None and addr is not None:
+                        lat += cache.penalty(addr)
+                    if store_queue:
+                        # The load waits until all preceding stores have
+                        # resolved addresses; a same-address store
+                        # additionally forwards data.
+                        for s_addr, s_aready, s_dready in stores:
+                            if s_aready > issue:
+                                issue = s_aready
+                            if s_addr == addr and s_dready > issue:
+                                issue = s_dready
+                    complete = issue + lat
+                elif kind is _STORE:
+                    addr = addrs[taken]
+                    taken += 1
+                    if cache is not None and addr is not None:
+                        lat += cache.penalty(addr)
+                    complete = issue + lat
+                    # address ready at issue, data one cycle later
+                    stores.append((addr if addr is not None else -1, issue, issue + 1))
+                    if len(stores) > window_size:
+                        stores.pop(0)
+                else:  # _CALL
+                    # Serialize at call boundaries (the real machine drains
+                    # the store queue and mispredicts returns often enough).
+                    stores.clear()
+                    if clock_last_retire > issue:
+                        issue = clock_last_retire
+                    complete = issue + lat
 
-            if kind is _LOAD and store_queue:
-                # The load waits until all preceding stores have resolved
-                # addresses; a same-address store additionally forwards data.
-                for s_addr, s_aready, s_dready in stores:
-                    if s_aready > issue:
-                        issue = s_aready
-                    if ev.addr is not None and s_addr == ev.addr and s_dready > issue:
-                        issue = s_dready
-            complete = issue + lat
-            if kind is _STORE:
-                addr_ready = issue
-                data_ready = issue + 1
-                stores.append((ev.addr if ev.addr is not None else -1, addr_ready, data_ready))
-                if len(stores) > window_size:
+                if dst is not None:
+                    ready[dst] = complete
+                # retire tracking: in-order retirement means completion
+                # order can't regress below the previous retire cycle.
+                if complete < clock_last_retire:
+                    complete = clock_last_retire
+                clock_last_retire = complete
+                window[oldest_at] = complete
+                oldest_at += 1
+                if oldest_at == window_size:
+                    oldest_at = 0
+                # age out stores whose data is long done
+                if stores and stores[0][2] <= fetch_cycle - window_size:
                     stores.pop(0)
-            elif kind is _CALL:
-                # Serialize at call boundaries (the real machine drains the
-                # store queue and mispredicts returns often enough).
-                stores.clear()
-                if clock_last_retire > issue:
-                    issue = clock_last_retire
-                complete = issue + lat
-
-            if dst is not None:
-                ready[dst] = complete
-            # retire tracking: in-order retirement means completion order
-            # can't regress below the previous retire cycle.
-            if complete < clock_last_retire:
-                complete = clock_last_retire
-            clock_last_retire = complete
-            window.append(complete)
-            # age out stores whose data is long done
-            if stores and stores[0][2] <= fetch_cycle - window_size:
-                stores.pop(0)
         return TimingResult(cycles=clock_last_retire, instructions=count)
 
-    def _record(self, insn: Insn) -> tuple | None:
-        """The timing facts of one static instruction.  A branch completes
-        ``branch_penalty`` cycles after issue, so that is its latency."""
+    def _record(self, insn: Insn, reg) -> tuple:
+        """The timing facts of one static instruction: source and
+        destination register indices, latency and kind.  A branch
+        completes ``branch_penalty`` cycles after issue, so that is its
+        latency."""
         op = insn.op
-        if op is Opcode.LABEL:
-            return None
         lat = r10000_latency(insn)
         kind = _OTHER
         if op is Opcode.LOAD:
@@ -163,9 +176,8 @@ class R10000Model:
         elif op in _BRANCHES:
             lat = self.config.branch_penalty
         return (
-            tuple(r.rid for r in insn.src_regs()),
-            insn.dst.rid if insn.dst is not None else None,
+            tuple(reg(r) for r in insn.src_regs()),
+            reg(insn.dst) if insn.dst is not None else None,
             lat,
             kind,
-            self.cache is not None and insn.mem is not None,
         )

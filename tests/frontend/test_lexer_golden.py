@@ -72,6 +72,9 @@ MALFORMED = [
     ("y = 0x;", "t.c", "t.c:1:5: malformed hex literal"),
     ("c = 'a;", "t.c", "t.c:1:5: unterminated char literal"),
     ("c = '';", "t.c", "t.c:1:5: unterminated char literal"),
+    # C has no unescaped quote or raw newline inside a char literal.
+    ("c = ''';", "t.c", "t.c:1:5: unterminated char literal"),
+    ("c = '\n';", "t.c", "t.c:1:5: unterminated char literal"),
     ("int main() {\n    return 2 @ 3;\n}\n", "at.c", "at.c:2:14: unexpected character '@'"),
     # A non-decimal digit starts no token (int() rejected it once).
     ("int main() {\n    return 2²;\n}\n", "sq.c", "sq.c:2:13: unexpected character '²'"),

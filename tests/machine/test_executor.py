@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro import CompileOptions, compile_source
 from repro.backend.rtl import Insn, Opcode, RTLFunction, RTLProgram, new_reg
-from repro.machine.executor import ExecutionError, execute
+from repro.machine.executor import ExecutionError, Executor, execute
 
 
 def run(src: str, entry="main", args=(), input_text=""):
@@ -127,6 +127,80 @@ class TestControlFlow:
         )
         with pytest.raises(ExecutionError):
             execute(comp.rtl, max_steps=10_000, collect_trace=False)
+
+
+class TestExactEdges:
+    """What a run leaves behind when it stops early must not depend on how
+    the executor groups instructions: every step limit stops at the same
+    instruction, in the same function, after the same output."""
+
+    SRC = """int g[4];
+int sq(int x) { return x * x; }
+int main() {
+    int i;
+    for (i = 0; i < 3; i++)
+        g[i] = sq(i);
+    printf("g2=%d", g[2]);
+    exit(g[1] + g[2]);
+    return 0;
+}
+"""
+    STEPS = 83
+    #: (function, consecutive steps in it) in execution order; labels
+    #: count as steps, and exit() ends the run on main's last step
+    WHERE = [("main", 7), ("sq", 3), ("main", 15), ("sq", 3), ("main", 15),
+             ("sq", 3), ("main", 37)]
+    #: the step that calls printf (1-based)
+    PRINTF_STEP = 69
+
+    @pytest.fixture(scope="class")
+    def rtl(self):
+        return compile_source(self.SRC, "edge.c", CompileOptions(schedule=False)).rtl
+
+    def test_full_run(self, rtl):
+        res = execute(rtl)
+        assert (res.ret, res.steps, len(res.trace)) == (5, self.STEPS, 75)
+        assert res.output == ["g2=4"]
+        assert Executor(rtl, max_steps=self.STEPS).run().steps == self.STEPS
+
+    def test_every_step_limit_stops_at_its_step(self, rtl):
+        functions = [fn for fn, n in self.WHERE for _ in range(n)]
+        assert len(functions) == self.STEPS
+        for k in range(self.STEPS):
+            for collect in (True, False):
+                ex = Executor(rtl, max_steps=k, collect_trace=collect)
+                with pytest.raises(ExecutionError) as exc:
+                    ex.run()
+                assert str(exc.value) == f"step limit exceeded in {functions[k]}"
+                assert ex.steps == k + 1
+                assert ex.output == (["g2=4"] if k >= self.PRINTF_STEP else [])
+
+    def test_division_by_zero_in_a_straight_line_names_its_line(self):
+        src = (
+            "int f(int a, int b) {\n"
+            "    int x, y, z;\n"
+            "    x = 100 / a;\n"
+            "    y = x / b;\n"
+            "    z = x % b;\n"
+            "    return x + y + z;\n"
+            "}\n"
+            "int m(int a, int b) {\n"
+            "    int x, z;\n"
+            "    x = a + 1;\n"
+            "    z = x % b;\n"
+            "    return x + z;\n"
+            "}\n"
+        )
+        comp = compile_source(src, "div.c", CompileOptions(schedule=False))
+        assert execute(comp.rtl, "f", (5, 3)).ret == 20 + 6 + 2
+        for entry, args, message in (
+            ("f", (0, 3), "integer division by zero at line 3"),
+            ("f", (5, 0), "integer division by zero at line 4"),
+            ("m", (5, 0), "integer modulo by zero at line 11"),
+        ):
+            with pytest.raises(ExecutionError) as exc:
+                execute(comp.rtl, entry, args)
+            assert str(exc.value) == message
 
 
 class TestMemory:

@@ -1,9 +1,14 @@
 """Timing model tests: R4600 in-order and R10000 out-of-order behaviours."""
 
+import pytest
+
 from repro import CompileOptions, compile_source
+from repro.backend.ddg import DDGMode
 from repro.backend.rtl import Insn, MemRef, Opcode, new_reg
-from repro.machine.executor import TraceEvent, execute
+from repro.difftest.gen import generate
+from repro.machine.executor import RunTrace, TraceEvent, execute
 from repro.machine.latencies import r4600_latency, r10000_latency
+from repro.machine.memory import r4600_hierarchy, r10000_hierarchy
 from repro.machine.pipeline import R4600Model
 from repro.machine.superscalar import R10000Config, R10000Model
 
@@ -165,3 +170,89 @@ int main() {
         res1 = execute(comp.rtl)
         res2 = execute(comp.rtl)
         assert R4600Model().time(res1.trace).cycles == R4600Model().time(res2.trace).cycles
+
+
+def _models():
+    return (
+        R4600Model(),
+        R10000Model(),
+        R10000Model(R10000Config(store_queue=False)),
+        R4600Model(cache=r4600_hierarchy()),
+        R10000Model(cache=r10000_hierarchy()),
+    )
+
+
+class TestRunPathMatchesEventPath:
+    """Timing a trace run by run gives the cycles of timing the same
+    events one by one (``RunTrace.of`` makes one run per event)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_program(self, seed):
+        src = generate(seed)
+        for mode in (DDGMode.GCC, DDGMode.COMBINED):
+            comp = compile_source(src, f"gen{seed}.c", CompileOptions(mode=mode))
+            res = execute(comp.rtl)
+            events = list(res.trace)
+            per_event = RunTrace.of(events)
+            assert len(per_event.runs) == len(events) == len(res.trace)
+            assert list(per_event) == events
+            for model in _models():
+                by_run = model.time(res.trace)
+                by_event = model.time(per_event)
+                assert (by_run.cycles, by_run.instructions) == (
+                    by_event.cycles,
+                    by_event.instructions,
+                ), (seed, mode, model.name)
+
+
+class TestRunTrace:
+    SRC = "int a[8];\nint f() { int i, s; s = 0; for (i = 0; i < 8; i++) s += a[i]; return s; }"
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        comp = compile_source(self.SRC, "t.c", CompileOptions(schedule=False))
+        return execute(comp.rtl, "f").trace
+
+    def test_len_is_the_number_of_events(self, trace):
+        events = list(trace)
+        assert len(trace) == len(events) > len(trace.runs)
+        assert len(trace.addrs) == sum(ev.insn.op is Opcode.LOAD for ev in events) == 8
+
+    def test_indexing_expands_like_iteration(self, trace):
+        events = list(trace)
+        assert trace[0] == events[0]
+        assert [trace[i] for i in range(len(events))] == events
+        assert trace[-1] == events[-1]
+        with pytest.raises(IndexError):
+            trace[len(events)]
+        with pytest.raises(IndexError):
+            trace[-len(events) - 1]
+
+    def test_equals_its_events(self, trace):
+        events = list(trace)
+        assert trace == events
+        assert events == trace
+        assert RunTrace.of(events) == trace
+        assert trace != events[:-1]
+
+    def test_disabled_trace_is_empty(self):
+        comp = compile_source(self.SRC, "t.c", CompileOptions(schedule=False))
+        res = execute(comp.rtl, "f", collect_trace=False)
+        assert res.trace == []
+        assert len(res.trace) == 0
+        assert not res.trace
+        assert list(res.trace) == []
+        assert res.ret == execute(comp.rtl, "f").ret
+
+    def test_hand_built_events_keep_memory_addresses_only(self):
+        r, a = new_reg(), new_reg()
+        load = Insn(Opcode.LOAD, dst=r, mem=MemRef(addr=a))
+        li = Insn(Opcode.LI, dst=a, imm=4)
+        events = [TraceEvent(li), TraceEvent(load, 4), TraceEvent(li), TraceEvent(load, 8)]
+        trace = RunTrace.of(events)
+        assert trace.addrs == [4, 8]
+        assert list(trace) == events
+        assert trace[1] is not trace[1]  # a fresh event per memory access
+        assert trace[0] is trace[2]  # one shared event per other instruction
+        assert RunTrace.of(trace) is trace
+        assert list(RunTrace.of([TraceEvent(li, 12)])) == [TraceEvent(li)]
