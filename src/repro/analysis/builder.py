@@ -86,7 +86,13 @@ class FrontEndInfo:
 
 
 class HLIBuilder:
-    """Build the HLI file for a whole program."""
+    """Build the HLI file for a whole program.
+
+    ``pts`` hands over a points-to result already computed for this very
+    ``program`` and ``table`` (symbols are compared by identity, so a
+    result from another parse of the same source would match nothing);
+    the builder then skips the analysis.
+    """
 
     def __init__(
         self,
@@ -94,12 +100,15 @@ class HLIBuilder:
         table: SymbolTable,
         partition_options: PartitionOptions | None = None,
         external_effects: dict[str, EffectSet] | None = None,
+        pts: PointsToResult | None = None,
     ) -> None:
         self.program = program
         self.table = table
         self.external_effects = external_effects
-        with trace.span("analysis.points_to"):
-            self.pts = analyze_points_to(program, table)
+        if pts is None:
+            with trace.span("analysis.points_to"):
+                pts = analyze_points_to(program, table)
+        self.pts = pts
         with trace.span("analysis.refmod"):
             self.refmod = analyze_refmod(
                 program, table, self.pts, external_effects=external_effects
@@ -440,13 +449,20 @@ def build_hli(
     table: SymbolTable,
     partition_options: PartitionOptions | None = None,
     external_effects: dict[str, EffectSet] | None = None,
+    pts: PointsToResult | None = None,
 ) -> tuple[HLIFile, FrontEndInfo]:
     """Convenience wrapper: build HLI for a checked program.
 
     ``external_effects`` (whole-program mode) carries linker-computed
-    summaries for extern functions; see :mod:`repro.linker`.
+    summaries for extern functions; see :mod:`repro.linker`.  ``pts``
+    is this program's points-to result when the caller already has it
+    (the linker's phase 1 computes it); ``None`` runs the analysis.
     """
     with trace.span("analysis.build_hli", file=program.filename):
         return HLIBuilder(
-            program, table, partition_options, external_effects=external_effects
+            program,
+            table,
+            partition_options,
+            external_effects=external_effects,
+            pts=pts,
         ).build()

@@ -56,7 +56,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         f"(default: %(default)s; choices: {', '.join(PATHS)})")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the wpa path's partitioned "
-                        "arm (default: 4, clamped to the machine)")
+                        "arm (default: 4, also on machines with fewer cores)")
     parser.add_argument("--format", default="brief",
                         choices=("brief", "full", "csv", "json"),
                         help="stdout rendering (default %(default)s)")

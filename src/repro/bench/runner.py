@@ -315,9 +315,11 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 # wpa path
 # ---------------------------------------------------------------------------
 
-#: worker count the partitioned observation requests; on a small CI box
-#: :func:`~repro.driver.session.resolve_workers` clamps this to the
-#: machine, so the measurement stays honest rather than oversubscribed
+#: worker count the partitioned observation requests.  Nothing clamps it
+#: to the machine (:func:`~repro.driver.session.resolve_workers` caps it
+#: only by the unit count), so an 8-16-unit program gets 4 partitions and
+#: a 4-worker pool even on a 1- or 2-core box; the wpa-v1 floors were
+#: measured on that oversubscribed arm
 WPA_BENCH_JOBS = 4
 
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # avoid load-time cycles with repro.checker / backend.passes
     from ..backend.passes import OptStats
     from ..checker.rules import LintReport
+    from ..linker.unit import UnitAnalysis
 
 from ..analysis.builder import FrontEndInfo
 from ..backend.ddg import DDGMode, DepStats
@@ -110,12 +111,19 @@ def compile_source(
     filename: str = "<input>",
     options: Optional[CompileOptions] = None,
     external_effects: Optional[dict] = None,
+    analysis: Optional["UnitAnalysis"] = None,
 ) -> Compilation:
     """Compile MiniC source through the full HLI pipeline (cold, uncached).
 
     ``external_effects`` (whole-program mode) maps extern function names
     to linked :class:`~repro.analysis.refmod.EffectSet` summaries; the
     HLI builder uses them instead of the conservative TOP/TOP default.
+
+    ``analysis`` is this very source's link-phase
+    :class:`~repro.linker.unit.UnitAnalysis` (whole-program mode): the
+    compile reuses its checked AST, symbol table and points-to result
+    instead of parsing and running points-to again.  Nothing checks that
+    it came from ``source``; passing another unit's analysis is a bug.
     """
     from .passes import PassContext, run_pipeline
 
@@ -131,5 +139,8 @@ def compile_source(
                 ),
                 opts=opts,
             )
+            if analysis is not None:
+                ctx.program, ctx.table = analysis.program, analysis.table
+                ctx.pts = analysis.pts
             run_pipeline(ctx)
             return ctx.comp

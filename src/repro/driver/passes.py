@@ -10,7 +10,9 @@ flags) and hands it to the :class:`~repro.backend.pm.PassManager`.
 
 Artifact names
 --------------
-``ast``       parsed+checked program (``ctx.program``/``ctx.table``)
+``ast``       parsed+checked program (``ctx.program``/``ctx.table``; a
+              caller that already holds it sets them, and the ``parse``
+              pass is skipped)
 ``hli``       the HLI file (``comp.hli``) + front-end info (``comp.frontend``)
 ``rtl``       lowered RTL (``comp.rtl``)
 ``mapping``   per-insn HLI item annotations + ``comp.map_stats``
@@ -44,6 +46,7 @@ from ..hli.query import HLIQuery
 from ..obs import trace as _trace
 
 if TYPE_CHECKING:  # no runtime import: driver.compile imports this module
+    from ..analysis.alias import PointsToResult
     from ..backend.passes import OptStats
     from ..frontend import ast_nodes as ast
     from ..frontend.symbols import SymbolTable
@@ -65,9 +68,13 @@ class PassContext:
 
     comp: "Compilation"
     opts: "CompileOptions"
-    #: transient front-end state (never cached; only ``ast`` consumers use it)
+    #: transient front-end state (never cached; only ``ast`` consumers use
+    #: it).  Set on entry when the caller already parsed the source (the
+    #: whole-program driver's phase 1): the ``parse`` pass is then skipped
+    #: and ``hli-build`` reuses ``pts`` instead of re-running points-to.
     program: Optional["ast.Program"] = None
     table: Optional["SymbolTable"] = None
+    pts: Optional["PointsToResult"] = None
     #: units the per-function passes run over; ``None`` means every
     #: function in ``comp.rtl`` (the cold-compile default).  The
     #: incremental session narrows this to the invalidated set.
@@ -94,7 +101,10 @@ def _parse(ctx: PassContext) -> None:
 
 def _build_hli(ctx: PassContext) -> None:
     ctx.comp.hli, ctx.comp.frontend = build_hli(
-        ctx.program, ctx.table, external_effects=ctx.comp.external_effects
+        ctx.program,
+        ctx.table,
+        external_effects=ctx.comp.external_effects,
+        pts=ctx.pts,
     )
 
 
@@ -323,7 +333,15 @@ def make_manager(passes) -> PassManager:
 
 
 def run_pipeline(ctx: PassContext) -> None:
-    """Assemble and run the full pipeline for ``ctx`` (cold compile)."""
+    """Assemble and run the full pipeline for ``ctx`` (cold compile).
+
+    A context that already holds the checked program starts with the
+    ``ast`` artifact valid and skips the ``parse`` pass.
+    """
     passes = build_pipeline(ctx.opts)
+    initial: tuple[str, ...] = ()
+    if ctx.program is not None:
+        passes = [p for p in passes if p is not _PARSE]
+        initial = ("ast",)
     manager = make_manager(passes)
-    ctx.comp.pipeline_stats = manager.run(ctx)
+    ctx.comp.pipeline_stats = manager.run(ctx, initial=initial)

@@ -38,7 +38,8 @@ change retires stale blobs by eviction instead of decode errors.  (The
 :class:`Compilation` results this process's own pool workers hand back
 are pickled; they never reach the disk tier.)
 
-On a manifest miss the session parses, fingerprints every function, and
+On a manifest miss the session parses (or, in whole-program mode, takes
+over the link phase's parse), fingerprints every function, and
 splices cached functions around the edited ones — probing the back-end
 tier *first* (a function whose fingerprint and knobs both match needs
 no front-end restore at all), then the front-end tier, rebuilding only
@@ -74,7 +75,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import binfmt as _binfmt
 from ..analysis.builder import FrontEndInfo
@@ -97,6 +98,9 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .compile import Compilation, CompileOptions
 from .passes import PassContext, build_pipeline, make_manager
+
+if TYPE_CHECKING:
+    from ..linker.unit import UnitAnalysis
 
 __all__ = [
     "CacheCorruption",
@@ -757,6 +761,7 @@ class CompilationSession:
         options: Optional[CompileOptions] = None,
         external_effects: Optional[dict] = None,
         extra_salt: str = "",
+        analysis: Optional["UnitAnalysis"] = None,
     ) -> Compilation:
         """Compile through the cache.
 
@@ -769,6 +774,10 @@ class CompilationSession:
         the effects feed the HLI builder and the salt keys the cached
         artifacts to the link state they were built under (callers must
         derive the salt from the effects — the session only hashes it).
+        ``analysis`` is the source's link-phase
+        :class:`~repro.linker.unit.UnitAnalysis`; a manifest miss reuses
+        its checked AST and points-to result instead of parsing again
+        (keys stay source-text based, so a hit never looks at it).
         """
         opts = options or CompileOptions()
         passes = build_pipeline(opts)
@@ -776,7 +785,9 @@ class CompilationSession:
         if not prefix:  # nothing cacheable in this pipeline
             from .compile import compile_source
 
-            return compile_source(source, filename, opts, external_effects)
+            return compile_source(
+                source, filename, opts, external_effects, analysis=analysis
+            )
         key = cache_key(source, filename, passes, salt=extra_salt)
         with enabled_scope(opts.trace):
             with _trace.span(
@@ -815,6 +826,7 @@ class CompilationSession:
                         suffix,
                         external_effects=external_effects,
                         extra_salt=extra_salt,
+                        analysis=analysis,
                     )
                 comp, stats, fe_keys, fn_states, active = restored
                 comp.frontend = _lazy_frontend(
@@ -938,10 +950,12 @@ class CompilationSession:
         suffix,
         external_effects=None,
         extra_salt="",
+        analysis: Optional["UnitAnalysis"] = None,
     ):
         """Manifest miss: rebuild only the functions whose keys changed.
 
-        Parses (unavoidable — fingerprints need the checked AST), then
+        Parses (fingerprints need the checked AST; ``analysis`` hands
+        over the link phase's AST and points-to result instead), then
         serves each function from the *back-end* tier first (fingerprint
         and knobs both unchanged: splice the finished RTL, done), else
         from the front-end tier (HLI entry + pristine RTL, back end
@@ -960,9 +974,15 @@ class CompilationSession:
             external_effects=external_effects,
         )
         stats = PipelineStats()
-        program, table = parse_and_check(source, filename)
-        stats.passes_run.append("parse")
-        builder = HLIBuilder(program, table, external_effects=external_effects)
+        if analysis is not None:
+            program, table, pts = analysis.program, analysis.table, analysis.pts
+        else:
+            program, table = parse_and_check(source, filename)
+            stats.passes_run.append("parse")
+            pts = None
+        builder = HLIBuilder(
+            program, table, external_effects=external_effects, pts=pts
+        )
         keys = function_keys(
             source,
             program,

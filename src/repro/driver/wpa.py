@@ -4,15 +4,19 @@
 It runs in two phases around :func:`repro.linker.link_units`:
 
 1. **Analyze + link.**  Every unit is parsed, checked, and summarized
-   (:func:`repro.linker.unit.analyze_unit`); the linker reconciles the
-   global symbols and runs the bottom-up SCC fixpoint over the
+   (:func:`repro.linker.unit.analyze_unit`) in this process, one after
+   another — LTO's serial whole-program analysis; the linker reconciles
+   the global symbols and runs the bottom-up SCC fixpoint over the
    cross-unit call graph.
 2. **Compile.**  Every unit is compiled through the ordinary per-unit
    pipeline, but with ``external_effects`` — the linked summaries of the
    extern functions it calls, translated back into its own object
    vocabulary by :mod:`repro.linker.adapter` — so the HLI builder,
    queries, DDG, and lint all see precise cross-module REF/MOD facts
-   instead of the conservative TOP/TOP default.
+   instead of the conservative TOP/TOP default.  A unit compiled in
+   this process takes over its phase-1 checked AST, symbol table and
+   points-to result, so it is parsed and points-to-analyzed once; a
+   partition compiled in a pool worker parses its units from source.
 
 The per-unit RTL programs are then merged into one executable image
 (:func:`repro.linker.image.link_image`).  When a
@@ -53,7 +57,7 @@ from ..linker.table import LinkDiagnostic
 from ..obs import enabled_scope
 from ..obs import trace as _trace
 from .compile import Compilation, CompileOptions, compile_source
-from .session import CompileJob, parallel_map, resolve_workers
+from .session import CompileJob, resolve_workers
 
 if TYPE_CHECKING:
     from ..checker.rules import LintReport
@@ -62,16 +66,21 @@ if TYPE_CHECKING:
 __all__ = ["WholeProgramResult", "compile_whole_program"]
 
 
-def _analyze_source(item: tuple[str, str]) -> UnitAnalysis:
-    """Phase-1 worker: parse + check + summarize one unit.
+def _analyze_source(sources: list[tuple[str, str]]) -> list[UnitAnalysis]:
+    """Phase 1: parse + check + summarize every unit, in this process.
 
-    Module-level so :func:`~repro.driver.session.parallel_map` can ship
-    it to a process pool; the returned :class:`UnitAnalysis` crosses the
-    boundary via pickle (plain dataclasses end to end).
+    A plain loop at every ``jobs`` value: on the 3-unit gen-multiunit-v1
+    programs a 2-worker pool took 27–52 ms for this phase against
+    10–15 ms serially (forks, plus pickling every AST back), and GCC's
+    LTO likewise keeps its whole-program analysis serial.  The analyses
+    stay in this process, so phase 2 hands each one to its unit's
+    in-process compile.
     """
-    filename, source = item
-    program, table = parse_and_check(source, filename)
-    return analyze_unit(program, table, filename=filename)
+    analyses = []
+    for filename, source in sources:
+        program, table = parse_and_check(source, filename)
+        analyses.append(analyze_unit(program, table, filename=filename))
+    return analyses
 
 
 @dataclass
@@ -139,16 +148,19 @@ def compile_whole_program(
     summary table (:mod:`repro.linker.persist`): an unchanged program
     restores it instead of re-running the interprocedural fixpoint.
 
-    ``jobs``/``partition`` schedule the two phases.  ``jobs=1`` +
-    ``partition="none"`` (the default) is today's fully serial path;
-    with more jobs, phase 1 fans units out over
-    :func:`~repro.driver.session.parallel_map` and phase 2 groups them
-    by :func:`~repro.linker.partition.partition_program` and dispatches
+    ``jobs``/``partition`` schedule phase 2; phase 1 always runs
+    serially in this process.  ``jobs=1`` or ``partition="none"`` (the
+    default) compiles every unit here, one after another, each reusing
+    its phase-1 AST, symbols and points-to result.  With ``jobs>1`` and
+    a partition mode, phase 2 groups the units by
+    :func:`~repro.linker.partition.partition_program` and dispatches
     each partition as one
     :meth:`~repro.driver.session.CompilationSession.compile_partitions`
-    pool task (``jobs=0`` means one per core).  Scheduling never changes
-    output: the compiled units, merged image, DepStats, and lint
-    verdicts are identical across every ``jobs``/``partition`` choice.
+    pool task (``jobs=0`` means one per core); those workers parse from
+    source, since a :class:`~repro.driver.session.CompileJob` carries no
+    AST.  Scheduling never changes output: the compiled units, merged
+    image, DepStats, and lint verdicts are identical across every
+    ``jobs``/``partition`` choice.
     """
     if partition not in PARTITION_MODES:
         raise ValueError(
@@ -165,10 +177,7 @@ def compile_whole_program(
             jobs=n_jobs,
             partition=partition,
         ):
-            if n_jobs > 1:
-                analyses = parallel_map(_analyze_source, sources, max_workers=n_jobs)
-            else:
-                analyses = [_analyze_source(item) for item in sources]
+            analyses = _analyze_source(sources)
             result.link = link_units(analyses, summary_cache=summary_cache)
 
             def job_for(filename: str, source: str, unit) -> CompileJob:
@@ -221,10 +230,15 @@ def compile_whole_program(
                             opts,
                             external_effects=job.external_effects,
                             extra_salt=job.extra_salt,
+                            analysis=unit,
                         )
                     else:
                         comp = compile_source(
-                            job.source, job.filename, opts, job.external_effects
+                            job.source,
+                            job.filename,
+                            opts,
+                            job.external_effects,
+                            analysis=unit,
                         )
                     result.units[filename] = comp
 

@@ -34,6 +34,7 @@ from ..analysis.items import (
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import StorageClass, Symbol, SymbolTable
 from ..analysis.refmod import RefModAnalysis
+from ..obs import trace
 
 __all__ = [
     "ANY",
@@ -249,17 +250,19 @@ def analyze_unit(
     program: ast.Program, table: SymbolTable, filename: Optional[str] = None
 ) -> UnitAnalysis:
     """Run unit-local analyses and extract link-space local summaries."""
-    pts = analyze_points_to(program, table)
-    refmod = RefModAnalysis(program, table, pts)
-    refmod.run()
-    unit = UnitAnalysis(
-        filename=filename or program.filename,
-        program=program,
-        table=table,
-        pts=pts,
-        refmod=refmod,
-    )
-    extractor = _SummaryExtractor(unit)
-    for fn in program.functions:
-        unit.locals[fn.name] = extractor.extract(fn)
+    filename = filename or program.filename
+    with trace.span("linker.analyze_unit", file=filename):
+        pts = analyze_points_to(program, table)
+        refmod = RefModAnalysis(program, table, pts)
+        refmod.run()
+        unit = UnitAnalysis(
+            filename=filename,
+            program=program,
+            table=table,
+            pts=pts,
+            refmod=refmod,
+        )
+        extractor = _SummaryExtractor(unit)
+        for fn in program.functions:
+            unit.locals[fn.name] = extractor.extract(fn)
     return unit

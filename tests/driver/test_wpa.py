@@ -1,9 +1,18 @@
 """The whole-program driver: linked compilation, baselines, and caching."""
 
+import pytest
+
+from repro import obs
+from repro.analysis.alias import analyze_points_to
+from repro.difftest.incremental import canonical_rtl
+from repro.driver.compile import CompileOptions, compile_source
 from repro.driver.session import CompilationSession
 from repro.driver.wpa import WholeProgramResult, compile_whole_program
+from repro.frontend import parse_and_check
 from repro.hli import faults
+from repro.linker import analyze_unit, link_units
 from repro.machine.executor import execute
+from repro.obs import trace
 from repro.workloads import wp_by_name
 
 UNITS = [
@@ -115,3 +124,67 @@ class TestGenerationAudit:
         assert len(diffs) == 1
         fn = diffs[0]
         assert stale.summary_generations[fn] == clean.summary_generations[fn] - 1
+
+
+def _traced_build(sources, **kwargs) -> tuple[WholeProgramResult, int]:
+    """Build with tracing on; also return this process's parse count."""
+    obs.reset()
+    try:
+        wp = compile_whole_program(sources, CompileOptions(trace=True), **kwargs)
+        parses = sum(
+            1 for s in trace.iter_spans() if s.name == "frontend.parse_and_check"
+        )
+    finally:
+        obs.reset()
+    return wp, parses
+
+
+class TestParseOnce:
+    """Phase 2 takes over phase 1's AST, symbols and points-to result."""
+
+    @pytest.mark.parametrize("with_session", [False, True])
+    def test_serial_build_parses_each_unit_once(self, with_session):
+        sources = wp_by_name("aliasing").sources()
+        session = CompilationSession() if with_session else None
+        wp, parses = _traced_build(sources, session=session)
+        assert parses == len(sources)
+        for comp in wp.units.values():
+            assert "parse" not in comp.pipeline_stats.passes_run
+        # a warm rebuild restores from the cache and parses only in phase 1
+        if session is not None:
+            _, parses = _traced_build(sources, session=session)
+            assert parses == len(sources)
+            assert session.stats.hits_memory == len(sources)
+
+    @pytest.mark.parametrize("with_session", [False, True])
+    def test_phase2_leaves_the_link_inputs_intact(self, with_session):
+        for name in ("counters", "stages", "aliasing"):
+            session = CompilationSession() if with_session else None
+            wp = compile_whole_program(wp_by_name(name).sources(), session=session)
+            units = wp.link.units
+            assert link_units(units).fingerprint() == wp.link.fingerprint()
+            # re-deriving every local summary from the shared ASTs and
+            # symbol tables links to the same result ...
+            again = [analyze_unit(u.program, u.table, u.filename) for u in units]
+            assert link_units(again).fingerprint() == wp.link.fingerprint()
+            # ... and the shared points-to results are still what the
+            # analysis computes on them
+            for unit in units:
+                fresh = analyze_points_to(unit.program, unit.table)
+                assert unit.pts.points_to == fresh.points_to
+                assert unit.pts.addressable == fresh.addressable
+
+    def test_handed_over_analysis_compiles_like_a_fresh_parse(self):
+        sources = wp_by_name("aliasing").sources()
+        wp = compile_whole_program(sources)
+        for filename, source in sources:
+            program, table = parse_and_check(source, filename)
+            unit = analyze_unit(program, table, filename=filename)
+            effects = wp.units[filename].external_effects
+            fresh = compile_source(source, filename, external_effects=effects)
+            handed = compile_source(
+                source, filename, external_effects=effects, analysis=unit
+            )
+            assert canonical_rtl(handed.rtl) == canonical_rtl(fresh.rtl)
+            assert handed.total_dep_stats() == fresh.total_dep_stats()
+            assert handed.frontend.pts is unit.pts

@@ -11,18 +11,30 @@ on the canonical alpha-renamed form produced by ``canonical_rtl``.)
 
 Worker death must never lose work: ``REPRO_TEST_KILL_WORKER`` makes
 every pool worker exit immediately, and the batch must still complete
-through the in-process fallback.
+through the in-process fallback.  A whole ``compile_whole_program``
+build must complete too, in a subprocess whose every forked child dies
+at birth.
 """
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import obs
 from repro.bench.registry import materialize
 from repro.difftest.incremental import canonical_rtl
+from repro.driver import session as session_mod
 from repro.driver.compile import CompileOptions
 from repro.driver.session import CompilationSession, CompileJob
 from repro.driver.wpa import compile_whole_program
+from repro.obs import trace
 
 PROGRAMS = {p.name: p for p in materialize("gen-multiunit-v1")}
 #: every 8-16-unit program plus a spread of the 3-unit ones — enough to
@@ -112,6 +124,56 @@ class TestWorkerDeath:
         # every job was compiled in-parent after the pool broke
         assert sess.stats.misses == 3
 
+    def test_whole_program_build_survives_dead_workers(self):
+        # Every process forked after the serial build dies at birth, in a
+        # subprocess so the hook cannot outlive the test.  Phase 1 runs in
+        # the parent, and phase 2 falls back to compiling in the parent.
+        script = textwrap.dedent(
+            """
+            import json, os
+            from repro import obs
+            from repro.bench.registry import materialize
+            from repro.difftest.incremental import canonical_rtl
+            from repro.driver.compile import CompileOptions
+            from repro.driver.wpa import compile_whole_program
+
+            def form(result):
+                return json.dumps([
+                    {f: canonical_rtl(c.rtl) for f, c in result.units.items()},
+                    canonical_rtl(result.image),
+                    {f: vars(c.total_dep_stats()) for f, c in result.units.items()},
+                ], sort_keys=True)
+
+            sources = list(materialize("gen-multiunit-v1")[0].units)
+            serial = compile_whole_program(sources, CompileOptions())
+            os.register_at_fork(after_in_child=lambda: os._exit(17))
+            obs.enable()
+            part = compile_whole_program(
+                sources, CompileOptions(), jobs=2, partition="balanced"
+            )
+            fallbacks = obs.metrics.counters().get("session.partition.fallback", 0)
+            assert part.partition_plan.n_partitions >= 2
+            assert fallbacks == part.partition_plan.n_partitions, fallbacks
+            assert form(part) == form(serial)
+            print("parity")
+            """
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_TEST_KILL_WORKER", None)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.split() == ["parity"]
+
     def test_healthy_pool_not_affected(self):
         sess = CompilationSession()
         partitions = [
@@ -121,6 +183,43 @@ class TestWorkerDeath:
         results = sess.compile_partitions(partitions, max_workers=2)
         names = [list(c.rtl.functions) for part in results for c in part]
         assert names == [["a"], ["b"]]
+
+
+class TestParentWork:
+    def test_parent_parses_once_and_forks_only_the_partition_pool(
+        self, monkeypatch
+    ):
+        sources = list(PROGRAMS[PARITY_NAMES[0]].units)
+        pools: list[list] = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class RecordingPool(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append([])
+
+            def submit(self, fn, *args, **kwargs):
+                pools[-1].append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        obs.reset()
+        try:
+            part = compile_whole_program(
+                sources, CompileOptions(trace=True), session=CompilationSession(),
+                jobs=2, partition="balanced",
+            )
+            parses = sum(
+                1 for s in trace.iter_spans() if s.name == "frontend.parse_and_check"
+            )
+        finally:
+            obs.reset()
+        assert parses == len(sources)
+        assert len(pools) == 1
+        assert len(pools[0]) == part.partition_plan.n_partitions >= 2
+        assert all(
+            fn.func is session_mod._compile_partition_worker for fn in pools[0]
+        )
 
 
 class TestCompileJobNormalization:
