@@ -55,8 +55,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="comma-separated compilation paths to exercise "
                         f"(default: %(default)s; choices: {', '.join(PATHS)})")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the wpa path's partitioned "
-                        "arm (default: 4, also on machines with fewer cores)")
+                        help="processes for the wpa path's partitioned arm, "
+                        "the parent included (default: 4, the parent plus 3 "
+                        "workers, also on machines with fewer cores)")
     parser.add_argument("--format", default="brief",
                         choices=("brief", "full", "csv", "json"),
                         help="stdout rendering (default %(default)s)")

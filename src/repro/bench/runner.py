@@ -30,8 +30,10 @@ iterations after W discarded warmup iterations:
   (``jobs=1``) vs cold partitioned (``jobs=N, partition=balanced``)
   latency per multi-unit program, the resulting ``parallel_speedup``,
   and a hard parity oracle — alpha-equivalent per-unit RTL, equal
-  ``DepStats``, and an alpha-equivalent merged image — rolled up into
-  the ``wpa.parity_ok`` fact (the ``wpa-v1`` regression gate).
+  ``DepStats``, an alpha-equivalent merged image, equal
+  ``summary_generations`` and equal whole-program lint rule IDs —
+  rolled up into the ``wpa.parity_ok`` fact (the ``wpa-v1`` regression
+  gate).
 
 Everything lands in a :class:`~repro.bench.report.Report`; regression
 gates from a committed baseline file are evaluated by the CLI.
@@ -317,9 +319,9 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 
 #: worker count the partitioned observation requests.  Nothing clamps it
 #: to the machine (:func:`~repro.driver.session.resolve_workers` caps it
-#: only by the unit count), so an 8-16-unit program gets 4 partitions and
-#: a 4-worker pool even on a 1- or 2-core box; the wpa-v1 floors were
-#: measured on that oversubscribed arm
+#: only by the unit count), so an 8-16-unit program gets 4 partitions,
+#: compiled by the parent plus 3 workers, even on a 1- or 2-core box; the
+#: wpa-v1 floors were measured on that oversubscribed arm
 WPA_BENCH_JOBS = 4
 
 
@@ -349,6 +351,9 @@ def _wpa(report: Report, prog: WorkloadProgram, n: int, w: int, jobs: int) -> di
     par_secs, p_res = _observe(partitioned, n, w)
     metrics.inc("bench.compiles", "wpa", 2 * (n + w))
 
+    def lint_rules(res) -> list[str]:
+        return sorted({d.rule.rule_id for d in res.lint_report().diagnostics})
+
     parity = (
         list(s_res.units) == list(p_res.units)
         and all(
@@ -357,6 +362,8 @@ def _wpa(report: Report, prog: WorkloadProgram, n: int, w: int, jobs: int) -> di
         )
         and s_res.total_dep_stats() == p_res.total_dep_stats()
         and canonical_rtl(s_res.image) == canonical_rtl(p_res.image)
+        and s_res.summary_generations == p_res.summary_generations
+        and lint_rules(s_res) == lint_rules(p_res)
     )
 
     from .stats import Summary

@@ -55,12 +55,15 @@ tier shards entries git-object style (``ab/cdef….hlic``) and enforces
 an optional size budget by least-recently-used eviction
 (``max_disk_bytes``).
 
-``compile_partitions`` fans partitions of jobs out through
-:func:`parallel_map`, the driver's one process pool: jobs whose manifest
-is already cached compile in this process, the rest run one pool task
-per partition (every worker shares the on-disk tier), and if a worker
-dies the batch's pooled jobs recompile here.  ``compile_many`` is the
-same dispatcher over one-job partitions.
+``compile_partitions`` splits partitions of jobs between this process
+and :func:`parallel_map`, the driver's one process pool: jobs whose
+manifest is already cached compile here, and so does one cold partition
+in every ``max_workers`` (the first, which callers make the heaviest),
+from the analyses this process already holds; the rest run one pool
+task per partition on ``max_workers - 1`` workers, which share the
+on-disk tier and parse from source.  If a worker dies the batch's
+pooled jobs recompile here.  ``compile_many`` is the same dispatcher
+over one-job partitions.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import os
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -126,6 +129,13 @@ class CompileJob:
     Effect sets contain only :class:`~repro.analysis.refmod.ForeignObject`
     markers and the interned ``TOP`` string by adapter construction, so a
     job crosses process-pool boundaries intact.
+
+    ``analysis`` is the unit's link-phase
+    :class:`~repro.linker.unit.UnitAnalysis`, used only by a compile in
+    this process (see :meth:`CompilationSession.compile`).
+    :meth:`CompilationSession.compile_partitions` drops it from every
+    job it sends to the pool, so no AST is pickled and workers parse
+    from source.
     """
 
     source: str
@@ -133,6 +143,9 @@ class CompileJob:
     options: Optional[CompileOptions] = None
     external_effects: Optional[dict] = None
     extra_salt: str = ""
+    analysis: Optional["UnitAnalysis"] = field(
+        default=None, compare=False, repr=False
+    )
 
 #: Bumped whenever the blob layout or any serialized artifact changes.
 CACHE_MAGIC = b"HLIC"
@@ -1154,11 +1167,12 @@ class CompilationSession:
         """Compile a batch of ``(source, filename[, options])`` jobs.
 
         Each job is its own partition of :meth:`compile_partitions`, so
-        warm jobs compile in this process, cold ones run one pool task
-        per job, and a dead worker's jobs recompile here.  Results come
-        back in job order.  ``max_workers=None`` uses
-        :func:`resolve_workers` (the ``REPRO_JOBS`` environment
-        variable, else one worker per core).
+        warm jobs compile in this process, which also compiles every
+        ``max_workers``-th cold job while a pool of ``max_workers - 1``
+        worker processes compiles the rest, and a dead worker's jobs
+        recompile here.  Results come back in job order.
+        ``max_workers=None`` uses :func:`resolve_workers` (the
+        ``REPRO_JOBS`` environment variable, else one worker per core).
         """
         parts = self.compile_partitions([[job] for job in jobs], max_workers)
         return [comp for part in parts for comp in part]
@@ -1171,6 +1185,7 @@ class CompilationSession:
             job.options,
             external_effects=job.external_effects,
             extra_salt=job.extra_salt,
+            analysis=job.analysis,
         )
 
     def _absorb_remote(self, comp: Compilation) -> None:
@@ -1186,87 +1201,113 @@ class CompilationSession:
     def _probe_warm(self, job: CompileJob) -> bool:
         """True if ``job``'s manifest is already in this session's cache.
 
-        Used by :meth:`compile_partitions` to keep warm jobs in the
-        parent process: the front-end decode then happens once against
-        the shared tiers instead of once per worker process.
+        A presence check (memory tier, else the disk file): used by
+        :meth:`compile_partitions` to keep warm jobs in this process,
+        whose :meth:`compile` then reads the manifest once.  A corrupt
+        manifest counts as present; :meth:`compile` evicts and rebuilds
+        it.
         """
         opts = job.options or CompileOptions()
         passes = build_pipeline(opts)
         prefix, _ = split_frontend(passes)
         if not prefix:
             return False
-        blob, _tier = self._lookup(
-            cache_key(job.source, job.filename, passes, salt=job.extra_salt)
-        )
-        return blob is not None
+        key = cache_key(job.source, job.filename, passes, salt=job.extra_salt)
+        with self._lock:
+            if key in self._memory:
+                return True
+        path = self._disk_path(key)
+        return path is not None and path.is_file()
 
     def compile_partitions(
         self,
         partitions: Sequence[Sequence],
         max_workers: Optional[int] = None,
     ) -> list[list[Compilation]]:
-        """Compile partitions of jobs: one pool task per partition.
+        """Compile partitions of jobs in this process plus a worker pool.
 
-        Each partition's jobs compile serially *inside* one worker
-        process (they share that worker's in-memory tier and the
-        session-wide disk tier), while distinct partitions run
-        concurrently through :func:`parallel_map` — the LTO "ltrans"
-        shape.  Results come back in partition order, job order within
-        each partition.
+        Each partition's jobs compile serially in one process (they
+        share that process's in-memory tier and the session-wide disk
+        tier), while distinct partitions run concurrently — the LTO
+        "ltrans" shape.  ``max_workers`` counts this process: of the
+        cold partitions it keeps every ``max_workers``-th one, starting
+        with the first (so exactly one when there are no more cold
+        partitions than workers; callers put the heaviest first), and a
+        :func:`parallel_map` pool of ``max_workers - 1`` processes
+        compiles the rest.  Every pool task is submitted before this
+        process starts any compile.  Jobs compiled here hand their
+        ``analysis`` to :meth:`compile`; jobs sent to the pool go
+        without it and are parsed from source.  Results come back in
+        partition order, job order within each partition.
 
         Two resilience properties:
 
         * **warm short-circuit** — jobs whose manifest already sits in
-          this session's cache compile in the parent process, so a warm
-          run decodes shared artifacts once instead of once per worker;
+          this session's cache compile in this process, so a warm run
+          decodes shared artifacts once instead of once per worker;
         * **in-process fallback** — if a worker dies (OOM kill, crash),
-          every job the batch sent to the pool recompiles in the parent;
-          the batch always completes.
+          every job the batch sent to the pool recompiles here; the
+          batch always completes.
 
-        When only one partition is left for the pool it compiles in the
-        parent too (:func:`parallel_map` would run one item inline).
+        When at most one cold partition is left, it compiles here too
+        and nothing forks.
         """
         norm = [[_normalize_job(j) for j in part] for part in partitions]
         results: list[list[Optional[Compilation]]] = [
             [None] * len(part) for part in norm
         ]
         workers = resolve_workers(max_workers, sum(1 for part in norm if part))
-        remote: list[tuple[int, int, CompileJob]] = []
-        batches: list[list[CompileJob]] = []
+        here: list[tuple[int, int, CompileJob]] = []
+        cold: list[list[tuple[int, int, CompileJob]]] = []
         for pi, part in enumerate(norm):
-            batch: list[CompileJob] = []
+            batch: list[tuple[int, int, CompileJob]] = []
             for ji, job in enumerate(part):
                 if workers > 1 and not self._probe_warm(job):
-                    remote.append((pi, ji, job))
-                    batch.append(job)
+                    batch.append((pi, ji, job))
                 else:
-                    results[pi][ji] = self._compile_job(job)
+                    here.append((pi, ji, job))
             if batch:
-                batches.append(batch)
-        pooled: Optional[list[Compilation]] = None
-        if len(batches) > 1:
-            from concurrent.futures.process import BrokenProcessPool
+                cold.append(batch)
+        here += [t for batch in cold[::workers] for t in batch]
+        pooled = [batch for i, batch in enumerate(cold) if i % workers]
 
-            cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-            task = partial(_compile_partition_worker, cache_dir, self.max_disk_bytes)
-            try:
-                with _trace.span(
-                    "session.compile_partitions",
-                    partitions=len(batches),
-                    workers=min(workers, len(batches)),
-                ):
-                    out = parallel_map(task, batches, max_workers=workers)
-                pooled = [comp for comps in out for comp in comps]
-            except (BrokenProcessPool, OSError):
-                _metrics.inc("session.partition.fallback", n=len(batches))
-        for k, (pi, ji, job) in enumerate(remote):
-            if pooled is None:
+        def compile_here() -> None:
+            for pi, ji, job in here:
                 results[pi][ji] = self._compile_job(job)
-            else:
-                results[pi][ji] = pooled[k]
-                self._absorb_remote(pooled[k])
-        if len(batches) > 1:
-            self._enforce_disk_budget()
+
+        if not pooled:
+            compile_here()
+            return results
+        from concurrent.futures.process import BrokenProcessPool
+
+        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
+        task = partial(_compile_partition_worker, cache_dir, self.max_disk_bytes)
+        procs = min(workers - 1, len(pooled))
+        out: Optional[list[list[Compilation]]] = None
+        try:
+            with _trace.span(
+                "session.compile_partitions", partitions=len(cold), workers=procs
+            ):
+                out = parallel_map(
+                    task,
+                    [[replace(job, analysis=None) for *_, job in b] for b in pooled],
+                    max_workers=procs,
+                    meanwhile=compile_here,
+                )
+        except (BrokenProcessPool, OSError):
+            _metrics.inc("session.partition.fallback", n=len(pooled))
+        if out is None:
+            # The pool may have broken before this process's own share
+            # started, so compile whatever is still missing.
+            for pi, ji, job in here + [t for b in pooled for t in b]:
+                if results[pi][ji] is None:
+                    results[pi][ji] = self._compile_job(job)
+        else:
+            for batch, comps in zip(pooled, out):
+                for (pi, ji, _job), comp in zip(batch, comps):
+                    results[pi][ji] = comp
+                    self._absorb_remote(comp)
+        self._enforce_disk_budget()
         return results
 
 
@@ -1337,21 +1378,31 @@ def resolve_workers(requested: Optional[int], n_items: int) -> int:
     return max(1, min(requested, n_items))
 
 
-def parallel_map(fn, items: Sequence, max_workers: Optional[int] = None) -> list:
+def parallel_map(
+    fn, items: Sequence, max_workers: Optional[int] = None, meanwhile=None
+) -> list:
     """Order-preserving process-pool map with a serial single-worker path.
 
     The driver's one process pool.  ``fn`` must be picklable: a
     module-level function or a :func:`functools.partial` of one.  A
     worker that dies surfaces here as ``BrokenProcessPool``.
+
+    ``meanwhile`` is the caller's own share of the work: a no-argument
+    callable run in this process after every item is submitted and
+    before any result is awaited.  With it, even one item goes to a
+    forked worker, since the caller is the other half of the
+    parallelism; without it, one worker (or one item) runs inline.
     """
     items = list(items)
     workers = resolve_workers(max_workers, len(items))
-    if workers <= 1:
+    if workers <= 1 and meanwhile is None:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, item) for item in items]
+        if meanwhile is not None:
+            meanwhile()
         return [f.result() for f in futures]
 
 

@@ -15,8 +15,10 @@ It runs in two phases around :func:`repro.linker.link_units`:
    queries, DDG, and lint all see precise cross-module REF/MOD facts
    instead of the conservative TOP/TOP default.  A unit compiled in
    this process takes over its phase-1 checked AST, symbol table and
-   points-to result, so it is parsed and points-to-analyzed once; a
-   partition compiled in a pool worker parses its units from source.
+   points-to result, so it is parsed and points-to-analyzed once.  With
+   ``jobs>1`` and a partition mode this process still compiles the
+   heaviest partition itself, and a pool of ``jobs - 1`` workers
+   compiles the rest, parsing their units from source.
 
 The per-unit RTL programs are then merged into one executable image
 (:func:`repro.linker.image.link_image`).  When a
@@ -153,14 +155,17 @@ def compile_whole_program(
     default) compiles every unit here, one after another, each reusing
     its phase-1 AST, symbols and points-to result.  With ``jobs>1`` and
     a partition mode, phase 2 groups the units by
-    :func:`~repro.linker.partition.partition_program` and dispatches
-    each partition as one
+    :func:`~repro.linker.partition.partition_program` and hands the
+    partitions, heaviest first by ``PartitionPlan.weights``, to
     :meth:`~repro.driver.session.CompilationSession.compile_partitions`
-    pool task (``jobs=0`` means one per core); those workers parse from
-    source, since a :class:`~repro.driver.session.CompileJob` carries no
-    AST.  Scheduling never changes output: the compiled units, merged
-    image, DepStats, and lint verdicts are identical across every
-    ``jobs``/``partition`` choice.
+    (``jobs=0`` means one per core).  This process counts as one of the
+    ``jobs``: it compiles the heaviest partition on its units' phase-1
+    analyses, and a pool of ``jobs - 1`` workers compiles the rest from
+    source (a :class:`~repro.driver.session.CompileJob` sent to the pool
+    carries no analysis).  If the pool breaks, its partitions compile
+    here, on their analyses too.  Scheduling never changes output: the
+    compiled units, merged image, DepStats, summary generations and lint
+    verdicts are identical across every ``jobs``/``partition`` choice.
     """
     if partition not in PARTITION_MODES:
         raise ValueError(
@@ -192,6 +197,7 @@ def compile_whole_program(
                     options=opts,
                     external_effects=effects,
                     extra_salt=salt,
+                    analysis=unit,
                 )
 
             if partition != "none" and n_jobs > 1 and len(sources) > 1:
@@ -202,9 +208,16 @@ def compile_whole_program(
                     fname: (src, unit)
                     for (fname, src), unit in zip(sources, analyses)
                 }
+                # Heaviest first: compile_partitions keeps the first cold
+                # partition in this process, which already holds its
+                # units' analyses, and forks one worker fewer.
+                parts = sorted(
+                    plan.partitions,
+                    key=lambda part: sum(plan.weights[f] for f in part),
+                    reverse=True,
+                )
                 batches = [
-                    [job_for(f, by_name[f][0], by_name[f][1]) for f in part]
-                    for part in plan.partitions
+                    [job_for(f, *by_name[f]) for f in part] for part in parts
                 ]
                 sess = session
                 if sess is None:
@@ -213,7 +226,7 @@ def compile_whole_program(
                     sess = CompilationSession(cache_dir=None)
                 compiled = sess.compile_partitions(batches, max_workers=n_jobs)
                 flat: dict[str, Compilation] = {}
-                for part, comps in zip(plan.partitions, compiled):
+                for part, comps in zip(parts, compiled):
                     for fname, comp in zip(part, comps):
                         flat[fname] = comp
                 # Reassemble in source order so the merged image layout

@@ -14,6 +14,10 @@ every pool worker exit immediately, and the batch must still complete
 through the in-process fallback.  A whole ``compile_whole_program``
 build must complete too, in a subprocess whose every forked child dies
 at birth.
+
+The calling process is one of the workers: it compiles the heaviest
+partition itself, from the analyses it already holds, while a pool of
+one process fewer compiles the rest.
 """
 
 import concurrent.futures
@@ -152,8 +156,17 @@ class TestWorkerDeath:
                 sources, CompileOptions(), jobs=2, partition="balanced"
             )
             fallbacks = obs.metrics.counters().get("session.partition.fallback", 0)
+            spans = list(obs.trace.iter_spans())
+            parses = [s for s in spans if s.name == "frontend.parse_and_check"]
+            compiled = sorted(
+                s.attrs["file"] for s in spans if s.name == "session.compile"
+            )
             assert part.partition_plan.n_partitions >= 2
-            assert fallbacks == part.partition_plan.n_partitions, fallbacks
+            # the parent's own partition never went to the pool
+            assert fallbacks == part.partition_plan.n_partitions - 1, fallbacks
+            # every unit compiled here, on its phase-1 analysis: no re-parse
+            assert compiled == sorted(f for f, _ in sources), compiled
+            assert len(parses) == len(sources), len(parses)
             assert form(part) == form(serial)
             print("parity")
             """
@@ -185,24 +198,40 @@ class TestWorkerDeath:
         assert names == [["a"], ["b"]]
 
 
+def _recording_pool(monkeypatch, events: list) -> list[dict]:
+    """Patch the pool class ``parallel_map`` uses; return one record per
+    pool (its worker count and submitted calls), appending ``"pool"`` to
+    ``events`` when one is created."""
+    pools: list[dict] = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class RecordingPool(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            events.append("pool")
+            pools.append({"workers": kwargs.get("max_workers"), "calls": []})
+
+        def submit(self, fn, *args, **kwargs):
+            pools[-1]["calls"].append((fn, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def _compiled_here() -> list[str]:
+    return sorted(
+        s.attrs["file"] for s in trace.iter_spans() if s.name == "session.compile"
+    )
+
+
 class TestParentWork:
     def test_parent_parses_once_and_forks_only_the_partition_pool(
         self, monkeypatch
     ):
         sources = list(PROGRAMS[PARITY_NAMES[0]].units)
-        pools: list[list] = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        class RecordingPool(real):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append([])
-
-            def submit(self, fn, *args, **kwargs):
-                pools[-1].append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pools = _recording_pool(monkeypatch, [])
+        monkeypatch.setattr(session_mod, "_WORKER_SESSIONS", {})
         obs.reset()
         try:
             part = compile_whole_program(
@@ -212,14 +241,85 @@ class TestParentWork:
             parses = sum(
                 1 for s in trace.iter_spans() if s.name == "frontend.parse_and_check"
             )
+            compiled = _compiled_here()
         finally:
             obs.reset()
+        plan = part.partition_plan
+        assert plan.n_partitions >= 2
         assert parses == len(sources)
+        # one pool, one worker fewer than partitions, running only the
+        # partition task on jobs that carry no AST
         assert len(pools) == 1
-        assert len(pools[0]) == part.partition_plan.n_partitions >= 2
-        assert all(
-            fn.func is session_mod._compile_partition_worker for fn in pools[0]
+        calls = pools[0]["calls"]
+        assert len(calls) == plan.n_partitions - 1
+        assert all(fn.func is session_mod._compile_partition_worker for fn, _ in calls)
+        assert all(job.analysis is None for _, (jobs,) in calls for job in jobs)
+        # the parent compiled exactly the heaviest partition, and never
+        # through the worker entry point (no worker session here)
+        heaviest = max(
+            plan.partitions, key=lambda p: sum(plan.weights[f] for f in p)
         )
+        assert compiled == sorted(heaviest)
+        assert session_mod._WORKER_SESSIONS == {}
+
+    def test_two_partitions_fork_one_process(self, monkeypatch):
+        pools = _recording_pool(monkeypatch, [])
+        partitions = [
+            [("int a() { return 1; }", "a.c"), ("int b() { return 2; }", "b.c")],
+            [("int c() { return 3; }", "c.c")],
+        ]
+        obs.reset()
+        try:
+            with obs.enabled_scope():
+                results = CompilationSession().compile_partitions(
+                    partitions, max_workers=2
+                )
+            compiled = _compiled_here()
+        finally:
+            obs.reset()
+        assert [[c.filename for c in part] for part in results] == [
+            ["a.c", "b.c"], ["c.c"]
+        ]
+        assert [(p["workers"], len(p["calls"])) for p in pools] == [(1, 1)]
+        assert compiled == ["a.c", "b.c"]
+
+    def test_single_cold_partition_forks_nothing(self, monkeypatch):
+        pools = _recording_pool(monkeypatch, [])
+        sess = CompilationSession()
+        warm = ("int a() { return 1; }", "a.c")
+        sess.compile(*warm)
+        results = sess.compile_partitions(
+            [[warm], [("int b() { return 2; }", "b.c")]], max_workers=2
+        )
+        assert [part[0].cache_state for part in results] == ["memory", "cold"]
+        assert pools == []
+
+    def test_pool_is_submitted_before_the_first_warm_restore(self, monkeypatch):
+        events: list[str] = []
+        pools = _recording_pool(monkeypatch, events)
+        sess = CompilationSession()
+        warm = ("int w() { return 0; }", "w.c")
+        sess.compile(*warm)
+        restore = sess._restore_manifest
+
+        def recording_restore(*args, **kwargs):
+            events.append("restore")
+            return restore(*args, **kwargs)
+
+        monkeypatch.setattr(sess, "_restore_manifest", recording_restore)
+        results = sess.compile_partitions(
+            [
+                [warm],
+                [("int a() { return 1; }", "a.c")],
+                [("int b() { return 2; }", "b.c")],
+            ],
+            max_workers=2,
+        )
+        assert [part[0].cache_state for part in results] == [
+            "memory", "cold", "cold"
+        ]
+        assert events == ["pool", "restore"]
+        assert [(p["workers"], len(p["calls"])) for p in pools] == [(1, 1)]
 
 
 class TestCompileJobNormalization:
