@@ -55,9 +55,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="comma-separated compilation paths to exercise "
                         f"(default: %(default)s; choices: {', '.join(PATHS)})")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="processes for the wpa path's partitioned arm, "
-                        "the parent included (default: 4, the parent plus 3 "
-                        "workers, also on machines with fewer cores)")
+                        help="processes the wpa path's partitioned arm asks "
+                        "for, the parent included (default: 4; a balanced "
+                        "plan gets at most one partition per usable CPU)")
     parser.add_argument("--format", default="brief",
                         choices=("brief", "full", "csv", "json"),
                         help="stdout rendering (default %(default)s)")

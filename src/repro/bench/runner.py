@@ -317,11 +317,13 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 # wpa path
 # ---------------------------------------------------------------------------
 
-#: worker count the partitioned observation requests.  Nothing clamps it
-#: to the machine (:func:`~repro.driver.session.resolve_workers` caps it
-#: only by the unit count), so an 8-16-unit program gets 4 partitions,
-#: compiled by the parent plus 3 workers, even on a 1- or 2-core box; the
-#: wpa-v1 floors were measured on that oversubscribed arm
+#: worker count the partitioned observation requests.  The driver clamps
+#: a ``balanced`` plan to the CPUs the process may use, so an 8-16-unit
+#: program gets one partition per CPU up to 4 (on a 2-CPU host the parent
+#: plus one forked child; 4+ CPUs, the parent plus 3), and a 3-unit
+#: program, whose pooled share is below ``wpa.FANOUT_MIN_WEIGHT``, forks
+#: nothing.  The wpa-v1 floors were measured on an oversubscribed arm
+#: (4 partitions on 1-2 cores) before that clamp
 WPA_BENCH_JOBS = 4
 
 

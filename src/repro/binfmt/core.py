@@ -3,7 +3,7 @@
 ``repro.binfmt`` replaces :mod:`pickle` everywhere the pipeline persists
 Python object graphs: cache blobs (:mod:`repro.driver.session`) and
 linker REF/MOD summaries (:mod:`repro.linker.persist`).  (Results a
-session's own pool workers return are still pickled; they are never
+session's own forked children return are still pickled; they are never
 persisted.)  Unlike
 pickle it can only construct types that were explicitly registered at
 import time, so decoding untrusted bytes can never execute arbitrary

@@ -35,8 +35,8 @@ malicious blob can only ever produce registered types or a clean
 :class:`CacheCorruption`.  The codec registry's fingerprint is stamped
 into every frame header *and* folded into every cache key, so a codec
 change retires stale blobs by eviction instead of decode errors.  (The
-:class:`Compilation` results this process's own pool workers hand back
-are pickled; they never reach the disk tier.)
+:class:`Compilation` results this process's own forked children hand
+back are pickled; they never reach the disk tier.)
 
 On a manifest miss the session parses (or, in whole-program mode, takes
 over the link phase's parse), fingerprints every function, and
@@ -56,14 +56,14 @@ an optional size budget by least-recently-used eviction
 (``max_disk_bytes``).
 
 ``compile_partitions`` splits partitions of jobs between this process
-and :func:`parallel_map`, the driver's one process pool: jobs whose
+and :func:`parallel_map`, the driver's one process fan-out: jobs whose
 manifest is already cached compile here, and so does one cold partition
-in every ``max_workers`` (the first, which callers make the heaviest),
-from the analyses this process already holds; the rest run one pool
-task per partition on ``max_workers - 1`` workers, which share the
-on-disk tier and parse from source.  If a worker dies the batch's
-pooled jobs recompile here.  ``compile_many`` is the same dispatcher
-over one-job partitions.
+in every ``max_workers`` (the first, which callers make the heaviest);
+the rest go to ``max_workers - 1`` forked children, which share the
+on-disk tier.  Every compile, here or in a child, reuses the analyses
+this process already holds: children inherit them at the fork.  If a
+child dies the batch's pooled jobs recompile here.  ``compile_many`` is
+the same dispatcher over one-job partitions.
 """
 
 from __future__ import annotations
@@ -73,12 +73,13 @@ import io
 import itertools
 import os
 import struct
+import sys
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .. import binfmt as _binfmt
 from ..analysis.builder import FrontEndInfo
@@ -126,16 +127,14 @@ class CompileJob:
     whole-program mode and cannot carry the linker's ``external_effects``
     or the link-salted ``extra_salt`` — this dataclass is the typed
     replacement (tuples are still accepted for backward compatibility).
-    Effect sets contain only :class:`~repro.analysis.refmod.ForeignObject`
-    markers and the interned ``TOP`` string by adapter construction, so a
-    job crosses process-pool boundaries intact.
 
     ``analysis`` is the unit's link-phase
-    :class:`~repro.linker.unit.UnitAnalysis`, used only by a compile in
-    this process (see :meth:`CompilationSession.compile`).
-    :meth:`CompilationSession.compile_partitions` drops it from every
-    job it sends to the pool, so no AST is pickled and workers parse
-    from source.
+    :class:`~repro.linker.unit.UnitAnalysis`: a manifest miss compiles
+    on its checked AST, symbols and points-to result instead of parsing
+    again (see :meth:`CompilationSession.compile`).  Jobs reach
+    :meth:`CompilationSession.compile_partitions`' forked children
+    through memory inherited at the fork, never by pickle, so the
+    analysis goes along.
     """
 
     source: str
@@ -372,7 +371,7 @@ class _LazyFrontEnd(FrontEndInfo):
     """
 
     def __getstate__(self):
-        # Pool workers hand compilations back pickled; the stats
+        # Forked children hand compilations back pickled; the stats
         # callback must not travel — the inputs do, so the receiver
         # stays lazy.
         state = dict(self.__dict__)
@@ -1168,9 +1167,9 @@ class CompilationSession:
 
         Each job is its own partition of :meth:`compile_partitions`, so
         warm jobs compile in this process, which also compiles every
-        ``max_workers``-th cold job while a pool of ``max_workers - 1``
-        worker processes compiles the rest, and a dead worker's jobs
-        recompile here.  Results come back in job order.
+        ``max_workers``-th cold job while ``max_workers - 1`` forked
+        children compile the rest, and a dead child's jobs recompile
+        here.  Results come back in job order.
         ``max_workers=None`` uses :func:`resolve_workers` (the
         ``REPRO_JOBS`` environment variable, else one worker per core).
         """
@@ -1189,7 +1188,7 @@ class CompilationSession:
         )
 
     def _absorb_remote(self, comp: Compilation) -> None:
-        """Fold a worker-process compilation into this session's counters."""
+        """Fold a forked child's compilation into this session's counters."""
         if comp.cache_state == "memory":
             self._bump("hits_memory")
         elif comp.cache_state == "disk":
@@ -1224,7 +1223,7 @@ class CompilationSession:
         partitions: Sequence[Sequence],
         max_workers: Optional[int] = None,
     ) -> list[list[Compilation]]:
-        """Compile partitions of jobs in this process plus a worker pool.
+        """Compile partitions of jobs in this process plus forked children.
 
         Each partition's jobs compile serially in one process (they
         share that process's in-memory tier and the session-wide disk
@@ -1232,22 +1231,25 @@ class CompilationSession:
         "ltrans" shape.  ``max_workers`` counts this process: of the
         cold partitions it keeps every ``max_workers``-th one, starting
         with the first (so exactly one when there are no more cold
-        partitions than workers; callers put the heaviest first), and a
-        :func:`parallel_map` pool of ``max_workers - 1`` processes
-        compiles the rest.  Every pool task is submitted before this
-        process starts any compile.  Jobs compiled here hand their
-        ``analysis`` to :meth:`compile`; jobs sent to the pool go
-        without it and are parsed from source.  Results come back in
-        partition order, job order within each partition.
+        partitions than workers; callers put the heaviest first), and
+        :func:`parallel_map` forks ``max_workers - 1`` children for the
+        rest, each with a fresh session over this one's disk tier.
+        Every child is forked before this process starts any compile.
+        Children read their jobs from memory inherited at the fork, so
+        every job keeps its ``analysis`` wherever it compiles: no unit
+        is parsed twice.  Each child pickles its compilations back.
+        Results come back in partition order, job order within each
+        partition; an exception a compile raises in a child re-raises
+        here with its type.
 
         Two resilience properties:
 
         * **warm short-circuit** — jobs whose manifest already sits in
           this session's cache compile in this process, so a warm run
-          decodes shared artifacts once instead of once per worker;
-        * **in-process fallback** — if a worker dies (OOM kill, crash),
-          every job the batch sent to the pool recompiles here; the
-          batch always completes.
+          decodes shared artifacts once instead of once per child;
+        * **in-process fallback** — if a child dies (OOM kill, crash,
+          signal), every job the batch gave the children recompiles
+          here; the batch always completes.
 
         When at most one cold partition is left, it compiles here too
         and nothing forks.
@@ -1290,15 +1292,15 @@ class CompilationSession:
             ):
                 out = parallel_map(
                     task,
-                    [[replace(job, analysis=None) for *_, job in b] for b in pooled],
+                    [[job for *_, job in b] for b in pooled],
                     max_workers=procs,
                     meanwhile=compile_here,
                 )
         except (BrokenProcessPool, OSError):
             _metrics.inc("session.partition.fallback", n=len(pooled))
         if out is None:
-            # The pool may have broken before this process's own share
-            # started, so compile whatever is still missing.
+            # A failed fork stops the batch before this process's own
+            # share starts, so compile whatever is still missing.
             for pi, ji, job in here + [t for b in pooled for t in b]:
                 if results[pi][ji] is None:
                     results[pi][ji] = self._compile_job(job)
@@ -1329,81 +1331,245 @@ def _normalize_job(job) -> CompileJob:
     )
 
 
-#: Per-worker-process sessions, keyed by cache dir and disk budget
-#: (fork-safe lazily built).
-_WORKER_SESSIONS: dict[tuple[Optional[str], Optional[int]], CompilationSession] = {}
-
-
-def _worker_session(
-    cache_dir: Optional[str], max_disk_bytes: Optional[int]
-) -> CompilationSession:
-    key = (cache_dir, max_disk_bytes)
-    sess = _WORKER_SESSIONS.get(key)
-    if sess is None:
-        sess = _WORKER_SESSIONS[key] = CompilationSession(
-            cache_dir=cache_dir, max_disk_bytes=max_disk_bytes
-        )
-    return sess
-
-
 def _compile_partition_worker(
     cache_dir: Optional[str],
     max_disk_bytes: Optional[int],
     jobs: Sequence[CompileJob],
 ) -> list[Compilation]:
-    """Compile one partition's jobs serially inside a worker process."""
-    if os.environ.get("REPRO_TEST_KILL_WORKER"):
-        # Deterministic crash hook for the worker-death fallback tests:
-        # die without unwinding, like an OOM kill would.
-        os._exit(17)
-    sess = _worker_session(cache_dir, max_disk_bytes)
+    """Compile one partition's jobs serially inside a forked child,
+    through a fresh session over the parent's disk tier and budget."""
+    sess = CompilationSession(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
     return [sess._compile_job(job) for job in jobs]
 
 
 # -- generic fan-out -----------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the host
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def resolve_workers(requested: Optional[int], n_items: int) -> int:
     """Worker-count policy shared by every fan-out entry point.
 
     ``requested`` semantics: ``None`` → the ``REPRO_JOBS`` environment
-    variable if set, else one per core; ``0`` → one per core; anything
-    else is taken literally.  Always capped by ``n_items``.
+    variable if set, else one per usable CPU; ``0`` → one per usable
+    CPU (:func:`_usable_cpus`); anything else is taken literally.
+    Always capped by ``n_items``.
     """
     if requested is None:
         env = os.environ.get("REPRO_JOBS", "")
         requested = int(env) if env.isdigit() and env != "" else 0
     if requested <= 0:
-        requested = os.cpu_count() or 1
+        requested = _usable_cpus()
     return max(1, min(requested, n_items))
+
+
+#: POSIX's smallest ``PIPE_BUF``: a pipe write of at most this many
+#: bytes is atomic, and one into an empty pipe never blocks.
+_PIPE_BUF = 512
 
 
 def parallel_map(
     fn, items: Sequence, max_workers: Optional[int] = None, meanwhile=None
 ) -> list:
-    """Order-preserving process-pool map with a serial single-worker path.
+    """Order-preserving fork-based map with a serial single-worker path.
 
-    The driver's one process pool.  ``fn`` must be picklable: a
-    module-level function or a :func:`functools.partial` of one.  A
-    worker that dies surfaces here as ``BrokenProcessPool``.
+    The driver's one process fan-out.  Children are forked with
+    ``os.fork`` and read ``items`` from the memory they inherited, so
+    neither ``fn`` nor the items are pickled: a child can run on
+    objects that cannot cross a pipe, such as a unit's AST.  Items are
+    handed out one at a time as children come free: every child reads
+    the next item's index from one shared pipe, so a child stuck on a
+    slow item does not hold up the rest.  Each child sends back one
+    pickle over its own pipe: its results, or the exception ``fn``
+    raised, which re-raises here with its type.  A child that dies
+    without a reply surfaces as ``BrokenProcessPool``.  Every child is
+    reaped before this returns or raises; on an error the ones still
+    running are killed first.
 
     ``meanwhile`` is the caller's own share of the work: a no-argument
-    callable run in this process after every item is submitted and
-    before any result is awaited.  With it, even one item goes to a
-    forked worker, since the caller is the other half of the
-    parallelism; without it, one worker (or one item) runs inline.
+    callable run in this process after every child is forked and before
+    any result is read.  With it, even one item goes to a forked child,
+    since the caller is the other half of the parallelism; without it,
+    one worker (or one item) runs inline.  While it runs, the children
+    keep off the CPU this process is on, where the host lets affinity
+    be set: a kernel may leave a fresh child on its parent's CPU for
+    hundreds of milliseconds, and then the two shares time-slice one
+    CPU.  They get every CPU back as soon as ``meanwhile`` returns.
+
+    Everything runs inline without ``os.fork`` (not a POSIX host), and
+    while another thread is alive: a child gets only the forking
+    thread, so a lock another thread held at the fork (an id allocator
+    in :mod:`repro.backend.rtl`, the metrics lock) would never be
+    released in it.
     """
     items = list(items)
     workers = resolve_workers(max_workers, len(items))
-    if workers <= 1 and meanwhile is None:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+    if (
+        not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or not items
+        or (workers <= 1 and meanwhile is None)
+    ):
         if meanwhile is not None:
             meanwhile()
-        return [f.result() for f in futures]
+        return [fn(item) for item in items]
+    import pickle  # before the fork, so children inherit it
+    import signal
+
+    # Item indices as 4-byte tokens, written in atomic chunks so that a
+    # child's 4-byte read always takes one whole token.  The first chunk
+    # goes in before any fork, so the first child starts at once.
+    tokens = struct.pack(f"<{len(items)}I", *range(len(items)))
+    away = _other_cpus() if meanwhile is not None else None
+    # Unflushed output would be written once more by every child.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        feed_r, feed_w = os.pipe()
+        try:
+            try:
+                _feed(feed_w, tokens[:_PIPE_BUF])
+                for _ in range(workers):
+                    rfd, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except BaseException:
+                        os.close(rfd)
+                        os.close(wfd)
+                        raise
+                    if pid == 0:
+                        _fork_child(fn, items, feed_r, feed_w, wfd)
+                    os.close(wfd)
+                    children.append((pid, rfd))
+                    if away:
+                        _set_affinity(pid, away)
+            finally:
+                # only children read the feed, so a feed no child can
+                # read any more fails the writes below instead of
+                # blocking them
+                os.close(feed_r)
+            _feed(feed_w, tokens[_PIPE_BUF:])
+        finally:
+            os.close(feed_w)  # children see the end of the feed
+        if meanwhile is not None:
+            meanwhile()
+            if away:
+                for pid, _ in children:
+                    _set_affinity(pid, os.sched_getaffinity(0))
+        out: list = [None] * len(items)
+        while children:
+            pid, rfd = children[0]
+            with open(rfd, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(rfd)
+            del children[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not reply:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool(
+                    f"parallel_map child {pid} exited with status {code} "
+                    "and no result"
+                )
+            ok, value, tb = pickle.loads(reply)
+            if not ok:
+                raise value from _ChildTraceback(tb)
+            for i, result in value:
+                out[i] = result
+        return out
+    finally:
+        for pid, rfd in children:
+            os.close(rfd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped by someone else's wait
+
+
+def _other_cpus() -> Optional[set[int]]:
+    """The CPUs this process may use except the one it runs on; ``None``
+    where Linux's ``/proc`` or the affinity API cannot tell, or no other
+    CPU is allowed."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # field 39, "processor"; the command name before it may
+            # contain spaces, so count from its closing parenthesis
+            cpu = int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+    return (os.sched_getaffinity(0) - {cpu}) or None
+
+
+def _set_affinity(pid: int, cpus: set[int]) -> None:
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except OSError:
+        pass  # the child has exited, or the host forbids it
+
+
+def _feed(fd: int, tokens: bytes) -> None:
+    """Write ``tokens`` to a :func:`parallel_map` feed in atomic chunks,
+    blocking while the pipe is full; stop once no child is left to read."""
+    try:
+        for at in range(0, len(tokens), _PIPE_BUF):
+            os.write(fd, tokens[at : at + _PIPE_BUF])
+    except BrokenPipeError:
+        pass  # every child is gone; reading the replies reports it
+
+
+def _fork_child(fn, items: list, feed_r: int, feed_w: int, wfd: int) -> NoReturn:
+    """A :func:`parallel_map` child: map ``fn`` over the items whose
+    indices it reads from the feed until the feed ends, pipe one pickle
+    of ``(index, result)`` pairs, exit.
+
+    Never returns: the child leaves through ``os._exit``, so no caller
+    frame, ``atexit`` hook or inherited buffer runs a second time.
+    Exit status 0 means a reply was written.
+    """
+    code = 1
+    try:
+        import pickle
+
+        os.close(feed_w)  # else no child would ever see the feed end
+        done: list = []
+        try:
+            while token := os.read(feed_r, 4):
+                (i,) = struct.unpack("<I", token)
+                done.append((i, fn(items[i])))
+            reply = (True, done, None)
+        except Exception as exc:
+            import traceback
+
+            reply = (False, exc, traceback.format_exc())
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with open(wfd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a child."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def compile_many(

@@ -407,7 +407,7 @@ def validate(
     (optionally disk-backed via ``cache_dir``), so the tables, lint, and
     timing phases share front-end artifacts instead of re-parsing each
     benchmark up to seven times.  ``jobs`` fans the speedup phase out
-    over a process pool (``0`` = one worker per core) and, together
+    over forked children (``0`` = one per core) and, together
     with ``partition``, schedules the whole-program phase's parallel
     back end.
     """

@@ -13,12 +13,13 @@ It runs in two phases around :func:`repro.linker.link_units`:
    extern functions it calls, translated back into its own object
    vocabulary by :mod:`repro.linker.adapter` — so the HLI builder,
    queries, DDG, and lint all see precise cross-module REF/MOD facts
-   instead of the conservative TOP/TOP default.  A unit compiled in
-   this process takes over its phase-1 checked AST, symbol table and
-   points-to result, so it is parsed and points-to-analyzed once.  With
+   instead of the conservative TOP/TOP default.  Every unit's compile
+   takes over its phase-1 checked AST, symbol table and points-to
+   result, so it is parsed and points-to-analyzed once.  With
    ``jobs>1`` and a partition mode this process still compiles the
-   heaviest partition itself, and a pool of ``jobs - 1`` workers
-   compiles the rest, parsing their units from source.
+   heaviest partition itself, and forked children compile the rest on
+   the same analyses, inherited at the fork — when that pays: a
+   ``balanced`` plan whose other partitions are light compiles here.
 
 The per-unit RTL programs are then merged into one executable image
 (:func:`repro.linker.image.link_image`).  When a
@@ -66,6 +67,18 @@ if TYPE_CHECKING:
     from .session import CompilationSession
 
 __all__ = ["WholeProgramResult", "compile_whole_program"]
+
+#: A ``balanced`` phase 2 forks only when the units outside its heaviest
+#: partition (which this process compiles) weigh at least this much, in
+#: :func:`~repro.linker.partition.unit_weight` units.  Measured on a
+#: 2-vCPU host with the fan-out forced (two runs, medians of 7 builds
+#: per program): the 3-unit gen-multiunit-v1 programs pool 57-69 and ran
+#: at 1.00-1.07x serial (0.78-1.11x per program), the 8-16-unit ones pool
+#: 193-214 and ran at 1.07-1.14x (0.88-1.21x).  Besides the fork and the
+#: pickled results, a live child slows this process's own share with
+#: copy-on-write faults, so a light pooled share gains too little to pay
+#: for a second process and loses on some programs.
+FANOUT_MIN_WEIGHT = 120
 
 
 def _analyze_source(sources: list[tuple[str, str]]) -> list[UnitAnalysis]:
@@ -158,12 +171,19 @@ def compile_whole_program(
     :func:`~repro.linker.partition.partition_program` and hands the
     partitions, heaviest first by ``PartitionPlan.weights``, to
     :meth:`~repro.driver.session.CompilationSession.compile_partitions`
-    (``jobs=0`` means one per core).  This process counts as one of the
-    ``jobs``: it compiles the heaviest partition on its units' phase-1
-    analyses, and a pool of ``jobs - 1`` workers compiles the rest from
-    source (a :class:`~repro.driver.session.CompileJob` sent to the pool
-    carries no analysis).  If the pool breaks, its partitions compile
-    here, on their analyses too.  Scheduling never changes output: the
+    (``jobs=0`` means one per usable CPU).  This process counts as one of the
+    ``jobs``: it compiles the heaviest partition, and ``jobs - 1``
+    forked children compile the rest.  Every
+    :class:`~repro.driver.session.CompileJob` carries its unit's phase-1
+    analysis, and children inherit it at the fork, so no unit is parsed
+    twice.  If a child dies, its partitions compile here, on their
+    analyses too.
+
+    A ``balanced`` plan has at most one partition per CPU this process
+    may run on, and it forks only when the units outside its heaviest
+    partition weigh at least :data:`FANOUT_MIN_WEIGHT`; otherwise every
+    unit compiles here and ``partition_plan`` records one partition.  A
+    ``1to1`` plan forks as asked.  Scheduling never changes output: the
     compiled units, merged image, DepStats, summary generations and lint
     verdicts are identical across every ``jobs``/``partition`` choice.
     """
@@ -200,22 +220,24 @@ def compile_whole_program(
                     analysis=unit,
                 )
 
+            plan = None
             if partition != "none" and n_jobs > 1 and len(sources) > 1:
+                # balanced: at most one partition per usable CPU, and one
+                # in all when the pooled share is too light to fork for
                 result.partition_plan = plan = partition_program(
-                    analyses, mode=partition, jobs=n_jobs
+                    analyses,
+                    mode=partition,
+                    jobs=resolve_workers(0, n_jobs),
+                    min_pooled=FANOUT_MIN_WEIGHT,
                 )
+            if plan is not None and plan.n_partitions > 1:
                 by_name = {
                     fname: (src, unit)
                     for (fname, src), unit in zip(sources, analyses)
                 }
                 # Heaviest first: compile_partitions keeps the first cold
-                # partition in this process, which already holds its
-                # units' analyses, and forks one worker fewer.
-                parts = sorted(
-                    plan.partitions,
-                    key=lambda part: sum(plan.weights[f] for f in part),
-                    reverse=True,
-                )
+                # partition in this process and forks one child fewer.
+                parts = sorted(plan.partitions, key=plan.load, reverse=True)
                 batches = [
                     [job_for(f, *by_name[f]) for f in part] for part in parts
                 ]

@@ -65,6 +65,11 @@ class SemanticAnalyzer:
         self.current_fn: ast.FuncDef | None = None
         self.loop_depth = 0
 
+    def _at(self, line: int) -> SourcePos:
+        """Where a diagnostic points: this unit's file, ``line``, column 1
+        (AST nodes carry no column)."""
+        return SourcePos(line, 1, self.program.filename)
+
     # -- entry point ---------------------------------------------------------
 
     def run(self) -> SymbolTable:
@@ -86,7 +91,7 @@ class SemanticAnalyzer:
             if seen is not None and seen != ptype:
                 raise SemanticError(
                     f"conflicting declarations of function '{proto.name}'",
-                    SourcePos(proto.line, 1),
+                    self._at(proto.line),
                 )
             proto_types[proto.name] = ptype
             self.table.declare_function(
@@ -101,7 +106,7 @@ class SemanticAnalyzer:
             if declared is not None and declared != ftype:
                 raise SemanticError(
                     f"definition of '{fn.name}' conflicts with its prototype",
-                    SourcePos(fn.line, 1),
+                    self._at(fn.line),
                 )
             try:
                 self.table.declare_function(
@@ -109,7 +114,7 @@ class SemanticAnalyzer:
                 )
             except KeyError:
                 raise SemanticError(
-                    f"redefinition of function '{fn.name}'", SourcePos(fn.line, 1)
+                    f"redefinition of function '{fn.name}'", self._at(fn.line)
                 ) from None
         for fn in self.program.functions:
             self._check_function(fn)
@@ -126,11 +131,11 @@ class SemanticAnalyzer:
             # Symbol.  Anything else is a redeclaration error.
             if not (decl.is_extern or existing.is_extern):
                 raise SemanticError(
-                    f"redeclaration of global '{decl.name}'", SourcePos(decl.line, 1)
+                    f"redeclaration of global '{decl.name}'", self._at(decl.line)
                 )
             if existing.ty != (decl.ty or INT):
                 raise SemanticError(
-                    f"conflicting types for global '{decl.name}'", SourcePos(decl.line, 1)
+                    f"conflicting types for global '{decl.name}'", self._at(decl.line)
                 )
             if not decl.is_extern:
                 existing.is_extern = False  # the defining declaration wins
@@ -161,7 +166,7 @@ class SemanticAnalyzer:
                 scope.declare(sym)
             except KeyError:
                 raise SemanticError(
-                    f"duplicate parameter '{p.name}'", SourcePos(p.line, 1)
+                    f"duplicate parameter '{p.name}'", self._at(p.line)
                 ) from None
             p.symbol = sym
         assert fn.body is not None
@@ -185,7 +190,7 @@ class SemanticAnalyzer:
                 scope.declare(sym)
             except KeyError:
                 raise SemanticError(
-                    f"redeclaration of '{stmt.name}'", SourcePos(stmt.line, 1)
+                    f"redeclaration of '{stmt.name}'", self._at(stmt.line)
                 ) from None
             stmt.symbol = sym
         elif isinstance(stmt, ast.DeclGroup):
@@ -223,16 +228,16 @@ class SemanticAnalyzer:
                 vty = self._check_expr(stmt.value, scope)
                 if ret_ty.is_void:
                     raise SemanticError(
-                        "returning a value from a void function", SourcePos(stmt.line, 1)
+                        "returning a value from a void function", self._at(stmt.line)
                     )
                 _ = vty  # MiniC allows implicit numeric conversion on return
             elif not ret_ty.is_void:
                 raise SemanticError(
-                    "non-void function must return a value", SourcePos(stmt.line, 1)
+                    "non-void function must return a value", self._at(stmt.line)
                 )
         elif isinstance(stmt, (ast.Break, ast.Continue)):
             if self.loop_depth == 0:
-                raise SemanticError("break/continue outside a loop", SourcePos(stmt.line, 1))
+                raise SemanticError("break/continue outside a loop", self._at(stmt.line))
         else:  # pragma: no cover - exhaustiveness guard
             raise SemanticError(f"unknown statement {type(stmt).__name__}")
 
@@ -265,7 +270,7 @@ class SemanticAnalyzer:
             sym = scope.lookup(expr.ident)
             if sym is None:
                 raise SemanticError(
-                    f"use of undeclared identifier '{expr.ident}'", SourcePos(expr.line, 1)
+                    f"use of undeclared identifier '{expr.ident}'", self._at(expr.line)
                 )
             expr.symbol = sym
             return sym.ty
@@ -277,7 +282,7 @@ class SemanticAnalyzer:
                     return oty.pointee
                 if isinstance(oty, ArrayType):
                     return self._array_peel(oty)
-                raise SemanticError("dereference of non-pointer", SourcePos(expr.line, 1))
+                raise SemanticError("dereference of non-pointer", self._at(expr.line))
             if expr.op is ast.UnaryOp.ADDR:
                 self._mark_address_taken(expr.operand)
                 if isinstance(oty, ArrayType):
@@ -311,34 +316,34 @@ class SemanticAnalyzer:
             bty = self._check_expr(expr.base, scope)
             ity = self._check_expr(expr.index, scope)
             if not ity.is_integer:
-                raise SemanticError("array subscript must be an integer", SourcePos(expr.line, 1))
+                raise SemanticError("array subscript must be an integer", self._at(expr.line))
             if isinstance(bty, ArrayType):
                 return self._array_peel(bty)
             if isinstance(bty, PointerType):
                 return bty.pointee
-            raise SemanticError("subscript of non-array", SourcePos(expr.line, 1))
+            raise SemanticError("subscript of non-array", self._at(expr.line))
         if isinstance(expr, ast.FieldAccess):
             assert expr.base is not None
             bty = self._check_expr(expr.base, scope)
             if expr.arrow:
                 if not isinstance(bty, PointerType) or not isinstance(bty.pointee, StructType):
-                    raise SemanticError("'->' on non-struct-pointer", SourcePos(expr.line, 1))
+                    raise SemanticError("'->' on non-struct-pointer", self._at(expr.line))
                 st = bty.pointee
             else:
                 if not isinstance(bty, StructType):
-                    raise SemanticError("'.' on non-struct", SourcePos(expr.line, 1))
+                    raise SemanticError("'.' on non-struct", self._at(expr.line))
                 st = bty
             try:
                 return st.field_type(expr.fieldname)
             except KeyError:
                 raise SemanticError(
-                    f"no field '{expr.fieldname}' in {st}", SourcePos(expr.line, 1)
+                    f"no field '{expr.fieldname}' in {st}", self._at(expr.line)
                 ) from None
         if isinstance(expr, ast.Call):
             fsym = self.table.lookup_function(expr.callee)
             if fsym is None:
                 raise SemanticError(
-                    f"call to undeclared function '{expr.callee}'", SourcePos(expr.line, 1)
+                    f"call to undeclared function '{expr.callee}'", self._at(expr.line)
                 )
             expr.symbol = fsym
             for a in expr.args:
@@ -353,7 +358,7 @@ class SemanticAnalyzer:
                     raise SemanticError(
                         f"'{expr.callee}' expects {len(fsym.ty.params)} args, "
                         f"got {len(expr.args)}",
-                        SourcePos(expr.line, 1),
+                        self._at(expr.line),
                     )
             return fsym.ty.ret
         if isinstance(expr, ast.Assign):
@@ -362,7 +367,7 @@ class SemanticAnalyzer:
             tty = self._check_expr(expr.target, scope)
             self._require_lvalue(expr.target)
             if isinstance(tty, ArrayType):
-                raise SemanticError("cannot assign to an array", SourcePos(expr.line, 1))
+                raise SemanticError("cannot assign to an array", self._at(expr.line))
             _ = vty
             return tty
         if isinstance(expr, ast.IncDec):
@@ -388,7 +393,7 @@ class SemanticAnalyzer:
             return
         if isinstance(expr, ast.Unary) and expr.op is ast.UnaryOp.DEREF:
             return
-        raise SemanticError("expression is not assignable", SourcePos(expr.line, 1))
+        raise SemanticError("expression is not assignable", self._at(expr.line))
 
     def _mark_address_taken(self, expr: ast.Expr) -> None:
         """Record that the storage behind ``expr`` escapes via '&' (or array passing)."""

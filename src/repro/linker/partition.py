@@ -4,7 +4,7 @@ After the serial WPA step (parse + analyze + link), phase 2 — per-unit
 code generation under the linked summaries — is embarrassingly parallel:
 PR 6's link-salted cache keys make every per-unit artifact independent
 of *where* it is compiled.  This module groups the linked units into
-**partitions** that the driver fans out over a process pool, the shape
+**partitions** that the driver fans out over forked processes, the shape
 GCC's LTO calls "ltrans" (Glek & Hubička; see PAPERS.md).
 
 Three modes:
@@ -13,7 +13,10 @@ Three modes:
   per-task overhead);
 * ``"balanced"`` — greedy longest-processing-time bin packing of units
   into at most ``jobs`` partitions, weighted by an RTL-size estimate
-  over each unit's functions (statement and call-site counts);
+  over each unit's functions (statement and call-site counts), or one
+  partition when the units outside the heaviest bin weigh less than
+  ``min_pooled`` (the share the other processes would get is too
+  small to pay for them);
 * ``"none"`` — a single partition holding every unit: today's serial
   path, used as the parity baseline.
 
@@ -80,14 +83,16 @@ class PartitionPlan:
     def n_partitions(self) -> int:
         return len(self.partitions)
 
+    def load(self, part: list[str]) -> int:
+        """Total weight of one partition's units."""
+        return sum(self.weights.get(f, 1) for f in part)
+
     @property
     def skew(self) -> float:
         """Max/mean partition weight.  1.0 = perfectly balanced."""
         if len(self.partitions) <= 1:
             return 1.0
-        loads = [
-            sum(self.weights.get(f, 1) for f in part) for part in self.partitions
-        ]
+        loads = [self.load(part) for part in self.partitions]
         mean = sum(loads) / len(loads)
         if mean <= 0:
             return 1.0
@@ -127,11 +132,14 @@ def partition_program(
     units: list[UnitAnalysis],
     mode: str = "balanced",
     jobs: int = 0,
+    min_pooled: int = 0,
 ) -> PartitionPlan:
     """Group ``units`` into partitions for the parallel back end.
 
     ``jobs`` caps the partition count in ``balanced`` mode (``<= 0``
-    means one partition per unit).  Deterministic: ties break on the
+    means one partition per unit), and ``min_pooled`` is the weight the
+    units outside the heaviest partition must reach there, or every
+    unit lands in one partition.  Deterministic: ties break on the
     unit's position in ``units``, and each partition preserves source
     order so merged outputs are stable.
     """
@@ -156,6 +164,8 @@ def partition_program(
             lightest = min(range(n_bins), key=lambda i: (loads[i], i))
             bins[lightest].append(u.filename)
             loads[lightest] += weights[u.filename]
+        if sum(loads) - max(loads) < min_pooled:
+            bins = [[u.filename for u in units]]
         partitions = [sorted(b, key=order.__getitem__) for b in bins if b]
     assign = {f: pi for pi, part in enumerate(partitions) for f in part}
     plan = PartitionPlan(

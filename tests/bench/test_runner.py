@@ -5,14 +5,12 @@ Each warm observation is a fresh session over a disk cache one untimed
 compile filled, so the facts describe a real disk restore: every
 compile a disk hit, every function served from its back-end blob, no
 front-end state decoded.  The second case breaks the back-end decode
-to show the facts can fail.  The last two pin the wpa path's worker
-count, which the wpa-v1 floors were measured with, and show that its
+to show the facts can fail.  The last two pin the wpa path's partition
+count (one per usable CPU, up to the arm's jobs) and show that its
 parity fact also compares summary generations and lint verdicts.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -48,17 +46,18 @@ def test_broken_be_decode_shows_in_the_warm_facts(monkeypatch):
     assert facts["session.warm_fe_decodes"] > 0
 
 
-def test_wpa_arm_is_not_clamped_to_the_machine(monkeypatch):
-    # The wpa-v1 floors were measured on 1- and 2-core hosts running the
-    # partitioned arm at WPA_BENCH_JOBS anyway; keep it that way.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_wpa_arm_is_clamped_to_usable_cpus(monkeypatch):
+    # The arm asks for WPA_BENCH_JOBS; the driver gives a balanced plan
+    # at most one partition per CPU the process may use.
     prog = next(
         p for p in materialize("gen-multiunit-v1") if p.profile == "multiunit-large"
     )
-    report = Report(set_name="t", set_digest="", iterations=1, warmup=0)
-    facts = _wpa(report, prog, 1, 0, WPA_BENCH_JOBS)
     assert WPA_BENCH_JOBS == 4
-    assert facts == {"parity": True, "partitions": 4}
+    for cpus, partitions in ((2, 2), (8, 4)):
+        monkeypatch.setattr(session_mod, "_usable_cpus", lambda: cpus)
+        report = Report(set_name="t", set_digest="", iterations=1, warmup=0)
+        facts = _wpa(report, prog, 1, 0, WPA_BENCH_JOBS)
+        assert facts == {"parity": True, "partitions": partitions}
 
 
 @pytest.mark.parametrize("skew", ["summary_generations", "lint"])

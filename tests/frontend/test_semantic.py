@@ -54,6 +54,16 @@ class TestDeclarations:
             check("void f() { { int x; } x = 1; }")
 
 
+class TestDiagnosticPosition:
+    BAD = "int f() {\n  int x;\n  return y;\n}\n"
+
+    def test_error_names_the_unit_file(self):
+        with pytest.raises(SemanticError) as info:
+            parse_and_check(self.BAD, "b.c")
+        assert (info.value.pos.filename, info.value.pos.line) == ("b.c", 3)
+        assert str(info.value) == "b.c:3:1: use of undeclared identifier 'y'"
+
+
 class TestTypes:
     def _expr_type(self, decls: str, expr: str):
         prog, _ = check(f"{decls}\nvoid f() {{ probe_target = {expr}; }}".replace(

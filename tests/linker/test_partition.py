@@ -85,3 +85,33 @@ def test_skew_and_to_dict(make_units):
     assert d["units"] == 4
     assert d["skew"] == pytest.approx(plan.skew, abs=1e-4)
     assert d["cross_edges"] == plan.cross_edges
+
+
+def test_light_pooled_share_keeps_one_partition(make_units):
+    units = make_units(U0, U1, U2, U3)
+    split = partition_program(units, mode="balanced", jobs=2)
+    pooled = sum(split.weights.values()) - max(map(split.load, split.partitions))
+    assert split.n_partitions == 2 and pooled > 0
+    kept = partition_program(units, mode="balanced", jobs=2, min_pooled=pooled)
+    assert kept.partitions == split.partitions
+    one = partition_program(units, mode="balanced", jobs=2, min_pooled=pooled + 1)
+    assert one.partitions == [["u0.c", "u1.c", "u2.c", "main.c"]]
+    assert one.skew == 1.0 and one.cross_edges == 0
+    # only balanced plans weigh the pooled share
+    assert partition_program(units, mode="1to1", min_pooled=10**6).n_partitions == 4
+
+
+def test_metrics_record_the_plan_returned(make_units):
+    from repro import obs
+
+    units = make_units(U0, U1, U2, U3)
+    obs.reset()
+    try:
+        with obs.enabled_scope():
+            plan = partition_program(units, mode="balanced", jobs=2, min_pooled=10**6)
+        counters, gauges = obs.metrics.counters(), obs.metrics.gauges()
+    finally:
+        obs.reset()
+    assert plan.n_partitions == 1
+    assert counters["wpa.partitions"] == 1
+    assert gauges["wpa.partition_skew"] == 1.0
