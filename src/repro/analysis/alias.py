@@ -15,7 +15,6 @@ access class to which the pointer reference may refer" (Section 3.1.2).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,10 +38,10 @@ class HeapObject:
 #: Abstract memory object: a named variable or a heap allocation.
 MemObject = object  # Symbol | HeapObject
 
-#: Marker object meaning "could point anywhere addressable".  Interned so
-#: the bare ``is TOP`` identity checks survive a binfmt round trip (the
-#: decoder interns every string it reconstructs).
-TOP = sys.intern("<top>")
+#: Marker object meaning "could point anywhere addressable", tested by
+#: identity (``is TOP``).  A copy that crossed a pickle compares equal but
+#: is not the same object, so code that may see one tests ``== TOP`` too.
+TOP = "<top>"
 
 
 @dataclass

@@ -22,8 +22,7 @@ iterations after W discarded warmup iterations:
   the invalidation invariant (back-end re-runs *exactly* ``main``)
   checked every iteration.
 * **decode** — codec throughput per blob kind: the hand-packed RTL
-  function codec, the generic :mod:`repro.binfmt` object graph (a whole
-  ``Compilation``), and the linker's persisted summary table, each
+  function codec and the linker's persisted summary table, each
   verified on every decode (the ``decode-v1`` microbenchmark), plus RTL
   encode time per instruction on the set's largest function.
 * **wpa** — partitioned parallel whole-program back end: cold serial
@@ -80,6 +79,28 @@ def _observe(fn: Callable[[], object], iterations: int, warmup: int):
         dt, last = _timed(fn)
         seconds.append(dt)
     return seconds, last
+
+
+def _observe_pair(
+    a: Callable[[], object], b: Callable[[], object], iterations: int, warmup: int
+):
+    """:func:`_observe` for two arms compared by ratio.
+
+    Both arms' warm-ups run first; then every iteration times both arms,
+    alternating which goes first, so host drift lands on both arms alike
+    instead of reading as a difference between them.  Returns
+    ``(a_seconds, b_seconds, a_last, b_last)``.
+    """
+    arms = (a, b)
+    last: list[object] = [None, None]
+    for _ in range(warmup):
+        last = [a(), b()]
+    seconds: tuple[list[float], list[float]] = ([], [])
+    for i in range(iterations):
+        for k in (i % 2, 1 - i % 2):
+            dt, last[k] = _timed(arms[k])
+            seconds[k].append(dt)
+    return seconds[0], seconds[1], last[0], last[1]
 
 
 def _options() -> CompileOptions:
@@ -226,11 +247,9 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
     """Codec throughput per blob kind (the ``decode-v1`` microbenchmark).
 
     Measures, for every single-unit program, the encode and decode cost
-    of the two blob kinds the warm path lives on — the hand-packed RTL
-    function codec (per-function cache blobs) and the generic
-    :mod:`repro.binfmt` object graph (a whole
-    ``Compilation``) — plus, for multi-unit programs, the
-    linker's persisted summary table.  Each observation covers the whole
+    of the hand-packed RTL function codec (the bulk of every per-function
+    cache blob) and, for multi-unit programs, of the linker's persisted
+    summary table.  Each observation covers the whole
     program (all functions), so medians track suite-shaped work, not
     single-blob micronoise.  Every decode is verified against the
     encoded original's shape; a mismatch fails the run via the
@@ -242,7 +261,6 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
     function size (a per-register scan, say) shows here long before it
     moves the per-program medians.
     """
-    from .. import binfmt
     from ..binfmt.rtlcodec import decode_rtl_function, encode_rtl_function
     from ..driver.compile import compile_source
     from ..frontend import parse_and_check
@@ -291,17 +309,6 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
         total_blob_bytes += sum(len(b) for b in blobs)
         report.add("decode", prog.name, prog.profile, "rtl_encode_seconds", enc_secs)
         report.add("decode", prog.name, prog.profile, "rtl_decode_seconds", dec_secs)
-
-        obj_enc_secs, obj_blob = _observe(lambda: binfmt.encode(comp), n, w)
-        obj_dec_secs, obj_back = _observe(lambda: binfmt.decode(obj_blob), n, w)
-        ok &= sorted(obj_back.rtl.functions) == sorted(comp.rtl.functions)
-        total_blob_bytes += len(obj_blob)
-        report.add(
-            "decode", prog.name, prog.profile, "object_encode_seconds", obj_enc_secs
-        )
-        report.add(
-            "decode", prog.name, prog.profile, "object_decode_seconds", obj_dec_secs
-        )
     if largest is not None:
         big, prog = largest
         secs, _ = _observe(lambda: encode_rtl_function(big), n, w)
@@ -349,8 +356,7 @@ def _wpa(report: Report, prog: WorkloadProgram, n: int, w: int, jobs: int) -> di
             jobs=jobs, partition="balanced",
         )
 
-    serial_secs, s_res = _observe(serial, n, w)
-    par_secs, p_res = _observe(partitioned, n, w)
+    serial_secs, par_secs, s_res, p_res = _observe_pair(serial, partitioned, n, w)
     metrics.inc("bench.compiles", "wpa", 2 * (n + w))
 
     def lint_rules(res) -> list[str]:

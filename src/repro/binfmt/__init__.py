@@ -1,17 +1,12 @@
-"""``repro.binfmt`` — the self-describing binary codec for persisted blobs.
+"""``repro.binfmt`` — the self-describing binary codec for cache blobs.
 
-One codec for every persisted object graph: session cache blobs and
-linker summaries (pool-worker results are pickled, never persisted).  See
-:mod:`repro.binfmt.core` for the format and :mod:`repro.binfmt.types`
-for the registry that defines it.
-
-Importing this package registers all types; ``fingerprint()`` then
-identifies the exact registry shape so callers can key storage on it.
+It encodes the records declared in :mod:`repro.binfmt.types` plus
+``None``, ``int``, ``float``, ``str``, ``tuple``, ``list`` and ``dict``,
+and nothing else; see :mod:`repro.binfmt.core` for the format.
+``fingerprint()`` identifies the declared schema, so callers can key
+storage on it.
 """
 
 from .core import BinFormatError, decode, encode, fingerprint
-from .types import register_all as _register_all
-
-_register_all()
 
 __all__ = ["BinFormatError", "decode", "encode", "fingerprint"]

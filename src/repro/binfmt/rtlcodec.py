@@ -6,15 +6,16 @@ generic tagged tree: a local string table, a register table, and one
 packed record per instruction.  Measured against pickle on the
 14-program suite this decodes ~15% faster at ~60% of the bytes.
 
-Layout (little-endian), used as the custom blob for the registered
-``RTLFunction`` type inside :mod:`repro.binfmt.core` messages:
+Layout (little-endian), used as the packed blob of the declared
+``RTLFunction`` record inside :mod:`repro.binfmt.core` messages:
 
 * header: ``<II`` max reg id / max insn uid (decode advances the global
   allocators past them — foreign RTL must never collide with ids minted
   locally), then the function name (string id), ``<I`` frame_size,
   ``<B`` ret_is_float;
-* string table: ``<I`` count, then per string ``<H`` utf-8 byte length
-  + bytes.  String id 0 is reserved for ``None``;
+* string table: ``<I`` count, then per string ``<I`` utf-8 byte length
+  + bytes (string literals can be long).  String id 0 is reserved for
+  ``None``;
 * register table: ``<I`` count, then per register ``<IBH`` rid /
   is_float / name byte length + name bytes.  Registers are referenced
   by ``<I`` table index below (index 0 reserved for "no register");
@@ -33,23 +34,43 @@ Layout (little-endian), used as the custom blob for the registered
     when present, ``<II`` known_symbol / base_symbol string ids;
   - ``<III`` label / callee / symbol string ids;
   - ``<I`` hli_item + 1 (0 = None);
-  - imm tag byte ``N`` / ``I`` + ``<q`` / ``F`` + ``<d`` / ``O`` +
-    generic :func:`repro.binfmt.core.encode` blob (``<I`` length).
+  - imm tag byte ``N`` / ``I`` + ``<q`` / ``F`` + ``<d`` / ``S`` +
+    ``<I`` string id (a string literal).
+
+The layout also leans on :mod:`repro.backend.rtl` itself: opcodes travel
+as their index and decoded objects get their fields by name.
+:data:`LAYOUT` records that dependence and the declared schema carries
+it into :func:`repro.binfmt.core.fingerprint`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from dataclasses import fields
+from typing import Any, Iterable, Optional
 
 from ..backend import rtl as _rtl
 from ..backend.rtl import Insn, MemRef, Opcode, Reg, RTLFunction
-from .core import BinFormatError
+from .errors import BinFormatError
 
-__all__ = ["decode_rtl_function", "encode_rtl_function"]
+__all__ = ["LAYOUT", "decode_rtl_function", "encode_rtl_function"]
 
 _OPCODES = list(Opcode)
 _OPCODE_INDEX = {op: i for i, op in enumerate(_OPCODES)}
+
+
+def _layout(opcodes: Iterable[Any], classes: Iterable[Any]) -> str:
+    """The opcode order and each class's field names, as one string."""
+    parts = ["Opcode:" + ",".join(op.name for op in opcodes)]
+    parts += [f"{cls.__name__}:" + ",".join(f.name for f in fields(cls)) for cls in classes]
+    return ";".join(parts)
+
+
+#: What the packed blob assumes of :mod:`repro.backend.rtl`.  Inserting or
+#: reordering an opcode, or editing an RTL class's fields, changes it and
+#: so the fingerprint: old blobs are evicted instead of decoding into the
+#: wrong opcodes or into objects missing a field.
+LAYOUT = _layout(_OPCODES, (RTLFunction, Insn, MemRef, Reg))
 
 _F_IS_FLOAT = 1
 _F_HAS_MEM = 2
@@ -150,11 +171,10 @@ def encode_rtl_function(fn: RTLFunction) -> bytes:
             body += b"I" + _I64.pack(imm)
         elif type(imm) is float:
             body += b"F" + _F64.pack(imm)
+        elif type(imm) is str:
+            body += b"S" + _U32.pack(t.sid(imm))
         else:
-            from .core import encode as _generic_encode
-
-            blob = _generic_encode(imm)
-            body += b"O" + _U32.pack(len(blob)) + blob
+            raise BinFormatError(f"unencodable RTL immediate {imm!r}")
 
     body += _U16.pack(len(fn.param_regs))
     for r in fn.param_regs:
@@ -180,7 +200,7 @@ def encode_rtl_function(fn: RTLFunction) -> bytes:
     out += _U32.pack(len(t.strings))
     for s in t.strings:
         data = s.encode("utf-8", "surrogatepass")
-        out += _U16.pack(len(data))
+        out += _U32.pack(len(data))
         out += data
     out += _U32.pack(len(t.regs))
     for r in t.regs:
@@ -227,8 +247,8 @@ def _decode_body(data: bytes) -> RTLFunction:
         raise BinFormatError("string table count exceeds payload")
     strings: list[Optional[str]] = [None]
     for _ in range(n_strings):
-        (n,) = _U16.unpack_from(data, pos)
-        pos += 2
+        (n,) = _U32.unpack_from(data, pos)
+        pos += 4
         end = pos + n
         if end > len(data):
             raise BinFormatError("truncated RTL string table")
@@ -321,16 +341,12 @@ def _decode_body(data: bytes) -> RTLFunction:
         elif tag == 0x46:  # 'F'
             (imm,) = _F64.unpack_from(data, pos)
             pos += 8
-        elif tag == 0x4F:  # 'O'
-            from .core import decode as _generic_decode
-
-            (blen,) = u32_unpack(data, pos)
+        elif tag == 0x53:  # 'S'
+            (imm_idx,) = u32_unpack(data, pos)
             pos += 4
-            end = pos + blen
-            if end > len(data):
-                raise BinFormatError("truncated imm blob")
-            imm = _generic_decode(data[pos:end])
-            pos = end
+            imm = strings[imm_idx]
+            if imm is None:
+                raise BinFormatError("string immediate id 0")
         else:
             raise BinFormatError(f"unknown imm tag {tag:#x}")
         insn = new_insn(Insn)

@@ -1,137 +1,77 @@
-"""Codec registrations for every type the pipeline persists or ships.
+"""The cache wire schema: every record type a persisted blob carries.
 
-Importing this module (via ``repro.binfmt``) populates the
-:mod:`repro.binfmt.core` registry.  **Registration order is the wire
-format**: type/enum/callable ids are assigned in encounter order, so
-the module list below and the definition order inside each module feed
-straight into :func:`repro.binfmt.core.fingerprint` — reordering or
-reshaping anything here retires all existing cache blobs, by design.
+Like lcc's ASDL interface (Hanson, PAPERS.md), the schema is declared
+once and the codec in :mod:`repro.binfmt.core` is derived from it: a
+record's wire id is its position in :data:`SCHEMA`, a plain record is
+encoded as its declared fields in declared order, and
+:func:`repro.binfmt.core.fingerprint` hashes this declaration and the
+format version alone.  Editing an AST node or an analysis class
+therefore leaves the fingerprint, and every cache blob, untouched;
+changing a line below retires them all, by design.
 
-Most types auto-register via their dataclass fields; the exceptions:
-
-* ``ScalarType`` decodes through a canonicalizing factory so the module
-  singletons (``INT``, ``FLOAT``, …) stay unique;
-* ``Scope`` / ``SymbolTable`` are plain classes with explicit fields;
-* ``HLIQuery`` rebuilds through its constructor (its indices are
-  derived state);
-* ``RTLFunction`` uses the hand-packed hot-path codec in
-  :mod:`repro.binfmt.rtlcodec`;
-* machine latency models ship as registered callables (by id, never by
-  code).
+Back-end blobs carry one ``RTLFunction`` (hand-packed by
+:mod:`repro.binfmt.rtlcodec`) with the function's statistics records;
+front-end blobs carry the ``RTLFunction`` alone.  Everything else a blob
+holds is ``None``, ``int``, ``float``, ``str``, ``tuple``, ``list`` or
+``dict``.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import is_dataclass
-from types import ModuleType
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from ..analysis import alias as _alias
-from ..analysis import builder as _builder
-from ..analysis import depend as _depend
-from ..analysis import eqclasses as _eqclasses
-from ..analysis import items as _items
-from ..analysis import refmod as _refmod
-from ..analysis import regions as _regions
-from ..analysis import subscripts as _subscripts
-from ..backend import cse as _cse
-from ..backend import ddg as _ddg
-from ..backend import licm as _licm
-from ..backend import mapping as _mapping
-from ..backend import passes as _bpasses
-from ..backend import pm as _pm
-from ..backend import rtl as _rtl
-from ..backend import unroll as _unroll
-from ..checker import rules as _rules
-from ..frontend import ast_nodes as _ast
-from ..frontend import symbols as _symbols
-from ..frontend import typesys as _typesys
-from ..hli import maintenance as _maintenance
-from ..hli import query as _query
-from ..hli import tables as _tables
-from ..linker import summary as _summary
-from ..machine import latencies as _latencies
-from .core import register, register_callable, register_enum
-from .rtlcodec import decode_rtl_function, encode_rtl_function
+from ..backend.cse import CSEStats
+from ..backend.ddg import DepStats
+from ..backend.licm import LICMStats
+from ..backend.mapping import MapStats
+from ..backend.passes import OptStats
+from ..backend.rtl import RTLFunction
+from ..backend.unroll import UnrollStats
+from ..hli.maintenance import UnrollMaintenance
+from .rtlcodec import LAYOUT, decode_rtl_function, encode_rtl_function
 
-_CANONICAL_SCALARS = {
-    ty.kind: ty
-    for ty in (
-        _typesys.INT,
-        _typesys.FLOAT,
-        _typesys.DOUBLE,
-        _typesys.CHAR,
-        _typesys.VOID,
-    )
-}
+__all__ = ["Record", "SCHEMA"]
 
 
-def _scalar(kind: _typesys.BaseKind) -> _typesys.ScalarType:
-    return _CANONICAL_SCALARS.get(kind) or _typesys.ScalarType(kind)
+@dataclass(frozen=True)
+class Record:
+    """One declared record type.
 
-
-def _register_module(module: ModuleType) -> None:
-    """Register every public dataclass and enum defined in ``module``.
-
-    ``vars`` iterates in definition order (guaranteed since 3.7), which
-    makes the assigned wire ids deterministic at import time.
+    A plain record lists its fields: they are encoded in this order and
+    passed back to ``cls`` by name.  A hand-packed record instead
+    supplies ``encode``/``decode`` functions over one opaque blob, and
+    a ``layout`` string that changes whenever its blob's meaning does.
     """
-    from .core import _BY_ENUM, _BY_TYPE  # registry internals, read-only here
 
-    for name, obj in vars(module).items():
-        if name.startswith("_") or not isinstance(obj, type):
-            continue
-        if obj.__module__ != module.__name__:
-            continue
-        if issubclass(obj, enum.Enum):
-            if obj not in _BY_ENUM:
-                register_enum(obj)
-        elif is_dataclass(obj) and obj not in _BY_TYPE:
-            register(obj)
+    cls: type
+    fields: tuple[str, ...] = ()
+    encode: Optional[Callable[[Any], bytes]] = None
+    decode: Optional[Callable[[bytes], Any]] = None
+    layout: str = ""
 
 
-def register_all() -> None:
-    """Populate the registry; called once from ``repro.binfmt.__init__``."""
-    # Explicit special cases first — they must win over the module walk.
-    register(_typesys.ScalarType, ("kind",), factory=_scalar)
-    register(_symbols.Scope, ("parent", "names"))
-    register(_symbols.SymbolTable, ("global_scope", "functions", "structs"))
-    register(_query.HLIQuery, ("entry",), factory=_query.HLIQuery)
-    register(_rtl.RTLFunction, encode=encode_rtl_function, decode=decode_rtl_function)
-
-    for module in (
-        _typesys,
-        _ast,
-        _symbols,
-        _tables,
-        _regions,
-        _items,
-        _subscripts,
-        _alias,
-        _eqclasses,
-        _depend,
-        _refmod,
-        _builder,
-        _rtl,
-        _ddg,
-        _mapping,
-        _bpasses,
-        _pm,
-        _cse,
-        _licm,
-        _unroll,
-        _maintenance,
-        _rules,
-        _summary,
-        _query,
-    ):
-        _register_module(module)
-
-    # Driver-level carriers (imported late: driver.compile imports
-    # backend modules registered above).
-    from ..driver import compile as _compile
-
-    _register_module(_compile)
-
-    register_callable("r4600_latency", _latencies.r4600_latency)
-    register_callable("r10000_latency", _latencies.r10000_latency)
+SCHEMA: tuple[Record, ...] = (
+    Record(
+        RTLFunction, encode=encode_rtl_function, decode=decode_rtl_function, layout=LAYOUT
+    ),
+    Record(MapStats, ("mapped", "unmapped", "mismatched_lines")),
+    Record(
+        DepStats,
+        ("total_tests", "gcc_yes", "hli_yes", "combined_yes", "call_tests", "call_dep"),
+    ),
+    Record(OptStats, ("cse", "licm", "unroll")),
+    Record(
+        CSEStats,
+        (
+            "alu_eliminated",
+            "loads_eliminated",
+            "call_invalidation_events",
+            "entries_kept_across_calls",
+            "entries_purged_at_calls",
+        ),
+    ),
+    Record(LICMStats, ("alu_hoisted", "loads_hoisted", "loops_processed")),
+    Record(UnrollStats, ("loops_unrolled", "copies_made", "items_cloned", "maintenance")),
+    Record(UnrollMaintenance, ("region_id", "factor", "item_copy", "class_copy")),
+)

@@ -29,11 +29,13 @@ Session results do not hold them either: ``Compilation.frontend``
 re-runs parse and HLI construction from the compilation's own source
 (and linked ``external_effects``) the first time it is read.
 
-Every persisted payload beyond the raw binio tables rides the
-self-describing :mod:`repro.binfmt` codec, never pickle: a corrupted or
-malicious blob can only ever produce registered types or a clean
-:class:`CacheCorruption`.  The codec registry's fingerprint is stamped
-into every frame header *and* folded into every cache key, so a codec
+Every persisted payload beyond the raw binio tables (RTL functions,
+their statistics records, the manifest's file-level chunk) rides the
+:mod:`repro.binfmt` codec, never pickle.  It constructs only the records
+its schema declares (:mod:`repro.binfmt.types`), so a corrupted or
+malicious blob can only ever produce those or a clean
+:class:`CacheCorruption`.  The schema's fingerprint is stamped into
+every frame header *and* folded into every cache key, so a schema
 change retires stale blobs by eviction instead of decode errors.  (The
 :class:`Compilation` results this process's own forked children hand
 back are pickled; they never reach the disk tier.)
@@ -148,10 +150,10 @@ class CompileJob:
 
 #: Bumped whenever the blob layout or any serialized artifact changes.
 CACHE_MAGIC = b"HLIC"
-CACHE_VERSION = 5  # 5: no front-end analysis state in any blob
+CACHE_VERSION = 6  # 6: binfmt carries only its declared schema
 
-#: First 8 bytes of the binfmt registry fingerprint, stamped into every
-#: frame header: a codec change (new field, reordered type) makes every
+#: First 8 bytes of the binfmt schema fingerprint, stamped into every
+#: frame header: a schema change (new field, reordered record) makes every
 #: existing blob *evict* instead of mis-decoding.  The full fingerprint
 #: is also folded into the cache keys, so skew normally shows up as a
 #: clean miss; the header check catches key-less probes and hand-edited
@@ -241,8 +243,8 @@ def cache_key(
     them, which is exactly what lets ``timing``'s gcc-vs-hli double
     compile share one parse.  Bumping any front-end pass's ``version``
     changes the fingerprint and retires stale entries automatically —
-    and so does any change to the binfmt codec registry, whose
-    fingerprint is folded in here.
+    and so does any change to the binfmt schema, whose fingerprint is
+    folded in here.
 
     ``salt`` folds external state the source cannot express into the
     key — the whole-program driver passes a fingerprint of the linked
@@ -307,7 +309,7 @@ def _backend_fp(suffix: Sequence[Pass]) -> str:
 #   offset  size  field
 #        0     4  magic ``HLIC``
 #        4     2  CACHE_VERSION (``<H``)
-#        6     8  binfmt registry fingerprint (first 8 raw bytes)
+#        6     8  binfmt schema fingerprint (first 8 raw bytes)
 #       14     2  kind tag (``MF`` / ``FE`` / ``BE``)
 #       16    32  SHA-256 of the payload
 #       48     …  payload

@@ -18,11 +18,13 @@ Conversion rules:
   consuming :class:`~repro.analysis.refmod.RefModAnalysis` rebinds names
   that denote the unit's own storage (bare globals, own-unit qualified
   names, heap sites) to the abstract objects of **its** parse.  Effect
-  sets cross a process/parse boundary (the driver re-parses each unit in
-  phase 2, and the session cache restores binfmt-decoded tables), and
+  sets outlive the parse they were computed on: a session's compilation
+  re-runs its front end lazily from source, with these same
+  ``external_effects``, the first time ``Compilation.frontend`` is read
+  (:mod:`repro.driver.session`), and
   :class:`~repro.frontend.symbols.Symbol` identity does not survive
-  that — a summary resolved against the link-time parse would silently
-  match nothing downstream;
+  that re-parse — a summary resolved against the link-time parse would
+  silently match nothing there;
 * ``ref_any``/``mod_any`` flags fold to
   :data:`~repro.analysis.alias.TOP`, which is never worse than the
   per-file default of TOP on both sets;

@@ -5,9 +5,10 @@ Each warm observation is a fresh session over a disk cache one untimed
 compile filled, so the facts describe a real disk restore: every
 compile a disk hit, every function served from its back-end blob, no
 front-end state decoded.  The second case breaks the back-end decode
-to show the facts can fail.  The last two pin the wpa path's partition
-count (one per usable CPU, up to the arm's jobs) and show that its
-parity fact also compares summary generations and lint verdicts.
+to show the facts can fail.  The wpa cases pin the path's partition
+count (one per usable CPU, up to the arm's jobs), show that its parity
+fact also compares summary generations and lint verdicts, and pin the
+order it times its two arms in.
 """
 
 from __future__ import annotations
@@ -81,3 +82,20 @@ def test_wpa_parity_covers_generations_and_lint(monkeypatch, skew):
     prog = materialize("gen-multiunit-v1")[0]
     report = Report(set_name="t", set_digest="", iterations=1, warmup=0)
     assert _wpa(report, prog, 1, 0, 2)["parity"] is False
+
+
+def test_wpa_arms_warm_up_first_then_alternate(monkeypatch):
+    prog = materialize("gen-multiunit-v1")[0]
+    result = wpa.compile_whole_program(list(prog.units), jobs=1, partition="none")
+    calls = []
+
+    def stub(*args, jobs=1, **kwargs):
+        calls.append("serial" if jobs == 1 else "partitioned")
+        return result
+
+    monkeypatch.setattr(wpa, "compile_whole_program", stub)
+    report = Report(set_name="t", set_digest="", iterations=3, warmup=1)
+    assert _wpa(report, prog, 3, 1, 2)["parity"] is True
+    s, p = "serial", "partitioned"
+    # warm-ups, then iterations timed s-first, p-first, s-first
+    assert calls == [s, p, s, p, p, s, s, p]

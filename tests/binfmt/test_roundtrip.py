@@ -1,13 +1,13 @@
 """Property-based round-trips for the :mod:`repro.binfmt` codec.
 
-Every blob kind the warm path persists or ships gets a round-trip
-check over fuzzer-generated programs (:mod:`repro.difftest.gen`): RTL
-functions (the hand-packed :mod:`~repro.binfmt.rtlcodec` layout),
-``UnitInfo`` analysis artifacts, the per-function stats slices, whole
-``Compilation`` objects (the decode-v1 object blobs), and the linker's
-persisted summary tables.  Comparison is structural — set-valued fields
-may re-iterate in a different order, so byte equality is deliberately
-not the contract.
+Every blob kind the warm path persists gets a round-trip check over
+fuzzer-generated programs (:mod:`repro.difftest.gen`): RTL functions
+(the hand-packed :mod:`~repro.binfmt.rtlcodec` layout), the
+per-function stats records, and the linker's persisted summary tables.
+Comparison is structural, so byte equality is deliberately not the
+contract.  The declared schema is pinned too: every plain record's
+field list must match its dataclass, and any undeclared type is
+refused on encode.
 
 Corruption is exercised at both layers: truncating a binfmt payload
 raises :class:`~repro.binfmt.BinFormatError` (never returns a partial
@@ -17,18 +17,22 @@ summary table trips the SHA-256 checksum rather than decoding garbage.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import struct
+from collections import OrderedDict
 
 import pytest
 
 from repro import binfmt
-from repro.analysis.builder import FrontEndInfo, UnitInfo
-from repro.backend.ddg import DepStats
+from repro.backend.ddg import DDGMode, DepStats
 from repro.backend.mapping import MapStats
 from repro.backend.rtl import Insn, MemRef, Opcode, Reg, RTLFunction
+from repro.binfmt import core, rtlcodec
 from repro.binfmt.rtlcodec import decode_rtl_function, encode_rtl_function
+from repro.binfmt.types import SCHEMA
 from repro.difftest.gen import GenConfig, generate, generate_units
-from repro.driver.compile import Compilation, CompileOptions, compile_source
+from repro.driver.compile import CompileOptions, compile_source
 from repro.linker import analyze_unit, compute_summaries
 from repro.linker.persist import (
     SummaryFormatError,
@@ -76,9 +80,18 @@ def assert_rtl_equal(a: RTLFunction, b: RTLFunction) -> None:
 
 class TestRTLFunctionCodec:
     def test_round_trip(self, fuzzed):
+        # Insn and MemRef are rebuilt by writing __dict__ directly, so a
+        # field the decoder misses would surface later as AttributeError
+        insn_fields = {f.name for f in dataclasses.fields(Insn)}
+        mem_fields = {f.name for f in dataclasses.fields(MemRef)}
         for name, fn in fuzzed.rtl.functions.items():
             back = decode_rtl_function(encode_rtl_function(fn))
             assert_rtl_equal(fn, back)
+            assert back.insns == fn.insns
+            for insn in back.insns:
+                assert set(vars(insn)) == insn_fields
+                if insn.mem is not None:
+                    assert set(vars(insn.mem)) == mem_fields
 
     def test_generic_codec_round_trip(self, fuzzed):
         # the generic OBJ path (used inside composite payloads) must
@@ -94,6 +107,36 @@ class TestRTLFunctionCodec:
         for cut in (0, 1, len(blob) // 3, len(blob) // 2, len(blob) - 1):
             with pytest.raises(binfmt.BinFormatError):
                 decode_rtl_function(blob[:cut])
+
+    def test_string_immediate_round_trips(self):
+        # non-ASCII, and longer than a u16 byte length can describe
+        texts = ("héllo, wörld ✓\n", "ü" * 40_000)
+        fn = RTLFunction(
+            name="s",
+            insns=[
+                Insn(Opcode.LI, dst=Reg(1), imm=texts[0], uid=1),
+                Insn(Opcode.LI, dst=Reg(2), imm=texts[1], uid=2),
+                Insn(Opcode.RET, srcs=(Reg(1),), uid=3),
+            ],
+        )
+        for back in (
+            decode_rtl_function(encode_rtl_function(fn)),
+            binfmt.decode(binfmt.encode(fn)),
+        ):
+            assert_rtl_equal(fn, back)
+            assert tuple(i.imm for i in back.insns[:2]) == texts
+
+    def test_unknown_immediate_tag_raises(self):
+        fn = RTLFunction(name="n", insns=[Insn(Opcode.LI, dst=Reg(1), uid=1)])
+        blob = bytearray(encode_rtl_function(fn))
+        # the lone insn's imm tag, before <H params, <I ret, <H loops, <H frame
+        assert blob[-11:-10] == b"N"
+        blob[-11] = ord("O")  # the retired nested-blob tag
+        with pytest.raises(binfmt.BinFormatError, match="imm tag"):
+            decode_rtl_function(bytes(blob))
+        fn.insns[0].imm = (1, 2)
+        with pytest.raises(binfmt.BinFormatError, match="immediate"):
+            encode_rtl_function(fn)
 
 
 #: (rid, is_float, name) of the registers below; the first two share a
@@ -128,8 +171,8 @@ def _register_rows(blob: bytes) -> int:
     (n_strings,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     for _ in range(n_strings):
-        (n,) = struct.unpack_from("<H", blob, pos)
-        pos += 2 + n
+        (n,) = struct.unpack_from("<I", blob, pos)
+        pos += 4 + n
     return struct.unpack_from("<I", blob, pos)[0]
 
 
@@ -151,33 +194,6 @@ class TestRegisterDedup:
             seen[(r.rid, r.is_float, r.name)].add(id(r))
         assert set(seen) == set(_REG_KEYS)
         assert all(len(ids) == 1 for ids in seen.values())
-
-
-class TestUnitInfoCodec:
-    def test_round_trip(self, fuzzed):
-        for name, unit in fuzzed.frontend.units.items():
-            back = binfmt.decode(binfmt.encode(unit))
-            assert isinstance(back, UnitInfo)
-            assert back.fn.name == unit.fn.name
-            assert [i.item_id for i in back.items] == [i.item_id for i in unit.items]
-            assert [i.kind for i in back.items] == [i.kind for i in unit.items]
-            assert [i.line for i in back.items] == [i.line for i in unit.items]
-            assert sorted(back.region_by_id) == sorted(unit.region_by_id)
-            assert sorted(back.class_info) == sorted(unit.class_info)
-            for cid, info in unit.class_info.items():
-                got = back.class_info[cid]
-                assert got.equiv is info.equiv
-                assert got.member_items == info.member_items
-                assert got.is_deref == info.is_deref
-
-    def test_frontend_round_trip(self, fuzzed):
-        back = binfmt.decode(binfmt.encode(fuzzed.frontend))
-        assert isinstance(back, FrontEndInfo)
-        assert sorted(back.units) == sorted(fuzzed.frontend.units)
-        assert sorted(back.refmod) == sorted(fuzzed.frontend.refmod)
-        for name, eff in fuzzed.frontend.refmod.items():
-            assert len(back.refmod[name].ref) == len(eff.ref)
-            assert len(back.refmod[name].mod) == len(eff.mod)
 
 
 class TestStatsCodecs:
@@ -204,31 +220,80 @@ class TestStatsCodecs:
         assert os2.licm.loads_hoisted == fuzzed.opt_stats.licm.loads_hoisted
         assert os2.unroll.loops_unrolled == fuzzed.opt_stats.unroll.loops_unrolled
 
-
-class TestCompilationCodec:
-    """Whole Compilation graphs round-trip (the decode-v1 object blobs)."""
-
-    def test_round_trip(self, fuzzed):
-        back = binfmt.decode(binfmt.encode(fuzzed))
-        assert isinstance(back, Compilation)
-        assert back.filename == fuzzed.filename
-        assert sorted(back.rtl.functions) == sorted(fuzzed.rtl.functions)
-        for name, fn in fuzzed.rtl.functions.items():
-            assert_rtl_equal(fn, back.rtl.functions[name])
-        assert back.rtl.globals_layout == fuzzed.rtl.globals_layout
-        assert back.rtl.init_data == fuzzed.rtl.init_data
-        assert sorted(back.hli.entries) == sorted(fuzzed.hli.entries)
-        for name, entry in fuzzed.hli.entries.items():
-            got = back.hli.entries[name]
-            assert got.root_region_id == entry.root_region_id
-            assert sorted(got.regions) == sorted(entry.regions)
-            assert sorted(got.line_table.entries) == sorted(entry.line_table.entries)
-
-    def test_truncation_raises(self, fuzzed):
-        blob = binfmt.encode(fuzzed)
+    def test_be_payload_truncation_raises(self, fuzzed):
+        # the shape of a back-end blob's binfmt chunk
+        name, fn = next(iter(fuzzed.rtl.functions.items()))
+        blob = binfmt.encode(
+            (fn, 3, fuzzed.map_stats.get(name), fuzzed.dep_stats.get(name), fuzzed.opt_stats)
+        )
         for cut in (0, 3, len(blob) // 4, len(blob) - 2):
             with pytest.raises(binfmt.BinFormatError):
                 binfmt.decode(blob[:cut])
+
+
+class TestDeclaredSchema:
+    @pytest.mark.parametrize(
+        "record", [r for r in SCHEMA if r.encode is None], ids=lambda r: r.cls.__name__
+    )
+    def test_declared_fields_match_the_dataclass(self, record):
+        assert record.fields == tuple(f.name for f in dataclasses.fields(record.cls))
+
+    def test_packed_records_declare_both_hooks(self):
+        # a record with an encode hook but no decode would decode as an
+        # empty plain record, and one without a layout would hide its
+        # blob's meaning from the fingerprint
+        for r in SCHEMA:
+            assert (r.encode is None) == (r.decode is None) == (not r.layout)
+
+    def test_fingerprint_covers_the_rtl_layout(self):
+        packed = (RTLFunction, Insn, MemRef, Reg)
+        assert SCHEMA[0].layout == rtlcodec.LAYOUT == rtlcodec._layout(Opcode, packed)
+        assert core._schema_fingerprint(SCHEMA) == binfmt.fingerprint()
+        names = [op.name for op in Opcode]
+        inserted = enum.Enum("Opcode", ["NEW", *names])
+        wider_insn = dataclasses.make_dataclass(
+            "Insn", [f.name for f in dataclasses.fields(Insn)] + ["extra"]
+        )
+        edits = (
+            rtlcodec._layout(reversed(list(Opcode)), packed),
+            rtlcodec._layout(inserted, packed),
+            rtlcodec._layout(Opcode, (RTLFunction, wider_insn, MemRef, Reg)),
+        )
+        for layout in edits:
+            schema = (dataclasses.replace(SCHEMA[0], layout=layout), *SCHEMA[1:])
+            assert core._schema_fingerprint(schema) != binfmt.fingerprint()
+
+    def test_primitives_and_containers_round_trip(self):
+        value = (None, 0, -7, 2**70, 1.5, "ü", "ü", (1, "x"), [[], {}], {(1, 2): 3, "k": [None]})
+        assert binfmt.decode(binfmt.encode(value)) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            True,
+            b"bytes",
+            {1, 2},
+            frozenset({1}),
+            OrderedDict(a=1),
+            DDGMode.GCC,
+            len,
+            Reg(1),
+            (1, [None, False]),
+        ],
+        ids=repr,
+    )
+    def test_undeclared_types_raise(self, value):
+        with pytest.raises(binfmt.BinFormatError, match="not a declared record"):
+            binfmt.encode(value)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", bytes([99]), bytes([8, 40]), bytes([6, 5, 0]), bytes([6, 1]) * 5000 + bytes([0])],
+        ids=["empty", "unknown tag", "record id", "list count", "deep nesting"],
+    )
+    def test_malformed_input_raises(self, data):
+        with pytest.raises(binfmt.BinFormatError):
+            binfmt.decode(data)
 
 
 class TestLinkSummaryCodec:

@@ -7,6 +7,7 @@ import pytest
 from repro import CompileOptions, compile_source, obs
 from repro.backend.ddg import DDGMode
 from repro.difftest.diff import build_matrix
+from repro.difftest.incremental import canonical_rtl
 from repro.driver.session import (
     CacheCorruption,
     CompilationSession,
@@ -18,6 +19,20 @@ from repro.obs import trace
 from tests.conftest import FIG2_SOURCE, SIMPLE_MAIN
 
 OTHER_SOURCE = "int x;\nint main() { x = 41; return x + 1; }\n"
+
+# a float-initialized global (manifest init_data) and a non-ASCII
+# string literal (an RTL string immediate)
+STRINGS_SOURCE = """\
+float scale = 2.5;
+int count = 3;
+int twice(int n) {
+    return n * 2;
+}
+int main() {
+    printf("héllo, wörld %d\\n", twice(count));
+    return count + 1;
+}
+"""
 
 
 @pytest.fixture()
@@ -229,7 +244,7 @@ class TestCorruption:
     def test_codec_fingerprint_mismatch_is_corruption(self):
         comp = compile_source(SIMPLE_MAIN, "simple.c")
         blob = bytearray(_encode_manifest(comp, self._fake_keys(comp)))
-        # bytes 6:14 hold the binfmt registry fingerprint — outside the
+        # bytes 6:14 hold the binfmt schema fingerprint — outside the
         # payload checksum, so skew is caught before any decode
         blob[6:14] = bytes(8)
         with pytest.raises(CacheCorruption, match="fingerprint"):
@@ -249,14 +264,20 @@ class TestZeroPickleWarmPath:
         monkeypatch.setattr(pickle, "load", boom)
 
     def test_warm_disk_restore_never_unpickles(self, tmp_path, monkeypatch):
+        inputs = [(SIMPLE_MAIN, "simple.c"), (STRINGS_SOURCE, "strings.c")]
         d = tmp_path / "cache"
-        CompilationSession(cache_dir=d).compile(SIMPLE_MAIN, "simple.c")
+        for source, filename in inputs:
+            CompilationSession(cache_dir=d).compile(source, filename)
+        colds = [compile_source(source, filename) for source, filename in inputs]
         self._poison(monkeypatch)
-        sess = CompilationSession(cache_dir=d)
-        comp = sess.compile(SIMPLE_MAIN, "simple.c")
-        assert comp.cache_state == "disk"
-        assert all(v == "be:disk" for v in comp.fn_cache_states.values())
-        assert execute(comp.rtl, collect_trace=False).ret is not None
+        for (source, filename), cold in zip(inputs, colds):
+            sess = CompilationSession(cache_dir=d)
+            comp = sess.compile(source, filename)
+            assert comp.cache_state == "disk"
+            assert all(v == "be:disk" for v in comp.fn_cache_states.values())
+            assert comp.rtl.init_data == cold.rtl.init_data
+            assert canonical_rtl(comp.rtl) == canonical_rtl(cold.rtl)
+            assert execute(comp.rtl, collect_trace=False).ret is not None
 
     def test_full_warm_hit_never_decodes_the_frontend(self, tmp_path):
         d = tmp_path / "cache"
