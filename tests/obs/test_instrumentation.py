@@ -163,6 +163,39 @@ class TestMachineCounters:
         assert c["machine.dynamic_insns"] > 0
         assert c["machine.cycles.r4600"] > 0
         assert c["machine.cycles.r10000"] > 0
+        for machine in ("r4600", "r10000"):
+            assert 0 < c[f"machine.table.states.{machine}"]
+            assert 0 < c[f"machine.table.misses.{machine}"]
+
+    def test_transition_table_counters_once_per_flat_time_call(self):
+        from repro.machine.executor import execute
+        from repro.machine.memory import r4600_hierarchy, r10000_hierarchy
+        from repro.machine.pipeline import R4600Model
+        from repro.machine.superscalar import R10000Model
+
+        comp = compile_source(SIMPLE_MAIN, "simple.c", CompileOptions(mode=DDGMode.COMBINED))
+        timed = execute(comp.rtl).trace
+        for machine, model, hierarchy in (
+            ("r4600", R4600Model, r4600_hierarchy),
+            ("r10000", R10000Model, r10000_hierarchy),
+        ):
+            with obs.enabled_scope():
+                model().time(timed)
+                once = metrics.counters()
+                model().time(timed)
+                twice = metrics.counters()
+                model(cache=hierarchy()).time(timed)
+                with_cache = metrics.counters()
+            obs.reset()
+            states = once[f"machine.table.states.{machine}"]
+            misses = once[f"machine.table.misses.{machine}"]
+            # every state but the first is reached by a miss
+            assert 0 < states <= misses + 1
+            assert misses < len(timed.runs)
+            assert twice[f"machine.table.states.{machine}"] == 2 * states
+            assert twice[f"machine.table.misses.{machine}"] == 2 * misses
+            # the cache-hierarchy path times instruction by instruction
+            assert with_cache[f"machine.table.misses.{machine}"] == 2 * misses
 
 
 class TestLintCounters:

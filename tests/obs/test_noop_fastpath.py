@@ -25,8 +25,12 @@ from time import perf_counter
 
 from repro import CompileOptions, compile_source, obs
 from repro.backend.ddg import DDGMode
+from repro.machine.executor import execute
+from repro.machine.memory import r4600_hierarchy, r10000_hierarchy
+from repro.machine.pipeline import R4600Model
+from repro.machine.superscalar import R10000Model
 from repro.obs import metrics, trace
-from repro.workloads.suite import BENCHMARKS
+from repro.workloads.suite import BENCHMARKS, by_name
 
 
 def _compile_suite() -> float:
@@ -48,6 +52,25 @@ class TestZeroWorkWhenDisabled:
         assert metrics.counters() == {}
         assert metrics.gauges() == {}
         assert metrics.histograms() == {}
+
+    def test_timing_allocates_no_spans_and_mutates_nothing(self):
+        spec = by_name("wc")
+        comp = compile_source(spec.source, spec.name, CompileOptions(mode=DDGMode.COMBINED))
+        res = execute(comp.rtl, spec.entry, input_text=spec.input_text)
+        assert not obs.is_enabled()
+        spans_before = trace.allocated_spans()
+        muts_before = metrics.mutations()
+        for model in (
+            R4600Model(),
+            R10000Model(),
+            R4600Model(cache=r4600_hierarchy()),
+            R10000Model(cache=r10000_hierarchy()),
+        ):
+            assert model.time(res.trace).cycles > 0
+        assert trace.allocated_spans() == spans_before
+        assert metrics.mutations() == muts_before
+        assert trace.roots() == []
+        assert metrics.counters() == {}
 
     def test_disabled_span_call_returns_singleton_not_fresh_object(self):
         before = trace.allocated_spans()
