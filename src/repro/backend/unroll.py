@@ -23,6 +23,7 @@ from ..hli.maintenance import UnrollMaintenance, unroll_region
 from ..hli.query import HLIQuery
 from ..hli.tables import HLIEntry, RegionType
 from ..obs import metrics, trace
+from .licm import _loop_span
 from .rtl import Insn, Opcode, Reg, RTLFunction, new_reg
 
 
@@ -38,16 +39,6 @@ class UnrollStats:
         self.copies_made += other.copies_made
         self.items_cloned += other.items_cloned
         self.maintenance.extend(other.maintenance)
-
-
-def _loop_span(fn: RTLFunction, top: str) -> tuple[int, int] | None:
-    start = None
-    for idx, insn in enumerate(fn.insns):
-        if insn.op is Opcode.LABEL and insn.label == top:
-            start = idx
-        elif insn.op is Opcode.J and insn.label == top and start is not None:
-            return start, idx
-    return None
 
 
 def _segment_is_unrollable(segment: list[Insn]) -> bool:

@@ -110,7 +110,7 @@ def _preset_for(gen: str, k: int) -> str:
 
 
 def _fuzz_worker(job: tuple) -> dict:
-    """Module-level (picklable) batch worker: fuzz one seed.
+    """Batch worker for :func:`parallel_map`: fuzz one seed.
 
     Returns a light summary — the parent re-runs failing seeds serially
     to get the full :class:`DiffResult` for reporting and reduction, so

@@ -52,10 +52,11 @@ the invalidated rest.  ``Compilation.cache_state`` reports
 Cache entries are **verified, not trusted**: a checksum guards every
 blob, HLI payloads must decode through the real binio reader, and any
 failure (truncation, bit-flips, version skew, codec-fingerprint skew)
-degrades to a cold build — never a crash, never wrong code.  The disk
-tier shards entries git-object style (``ab/cdef….hlic``) and enforces
-an optional size budget by least-recently-used eviction
-(``max_disk_bytes``).
+degrades to a cold build — never a crash, never wrong code.  Every
+read goes through one verified fetch, which evicts what fails.  The
+tiers themselves — the memory LRU, the sharded disk tier with its
+``max_disk_bytes`` budget, and the one lock that guards them and the
+counters — live in :mod:`repro.driver.store`.
 
 ``compile_partitions`` splits partitions of jobs between this process
 and :func:`parallel_map`, the driver's one process fan-out: jobs whose
@@ -72,12 +73,10 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import os
 import struct
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -104,6 +103,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .compile import Compilation, CompileOptions
 from .passes import PassContext, build_pipeline, make_manager
+from .store import ArtifactStore
 
 if TYPE_CHECKING:
     from ..linker.unit import UnitAnalysis
@@ -123,12 +123,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One ``compile_many`` / ``compile_partitions`` work item.
-
-    The bare-tuple contract ``(source, filename[, options])`` predates
-    whole-program mode and cannot carry the linker's ``external_effects``
-    or the link-salted ``extra_salt`` — this dataclass is the typed
-    replacement (tuples are still accepted for backward compatibility).
+    """One ``compile_many`` / ``compile_partitions`` work item: the
+    arguments of one :meth:`CompilationSession.compile`.
 
     ``analysis`` is the unit's link-phase
     :class:`~repro.linker.unit.UnitAnalysis`: a manifest miss compiles
@@ -183,8 +179,9 @@ class SessionStats:
     on *every* compile — a manifest hit restores each function from the
     back-end tier first, so a fully warm compile shows one manifest hit
     plus one ``be_hits_*`` per function (and no ``fn_*`` traffic at
-    all).  ``fe_decodes``/``be_decodes`` count successful blob decodes;
-    ``frontend_decodes`` counts front-end re-runs — a session's
+    all).  ``fe_decodes``/``be_decodes`` count successful blob decodes,
+    read-only aliases of ``fn_hits``/``be_hits`` since every hit is
+    one; ``frontend_decodes`` counts front-end re-runs — a session's
     compilation re-parses and rebuilds its HLI only when a consumer
     actually reads ``Compilation.frontend``, so it stays **zero** on
     the warm path.
@@ -208,14 +205,19 @@ class SessionStats:
     be_stores: int = 0
     #: disk-tier entries removed by the ``max_disk_bytes`` LRU budget
     disk_evictions: int = 0
-    # -- decode-level (how much deserialization actually happened) --
-    fe_decodes: int = 0
-    be_decodes: int = 0
     #: lazy front ends re-run on first ``Compilation.frontend`` access
     frontend_decodes: int = 0
 
+    def count(self, event: str, tier: Optional[str] = None) -> None:
+        """Count one cache event: its counter (``<counter>_<tier>`` for
+        hits) and its ``session.cache.<event>[.<tier>]`` metric.  Callers
+        hold the store's lock."""
+        name = _COUNTERS[event] + (f"_{tier}" if tier else "")
+        setattr(self, name, getattr(self, name) + 1)
+        _metrics.inc("session.cache." + event, tier)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "fe_decodes": self.fe_decodes, "be_decodes": self.be_decodes}
 
     @property
     def hits(self) -> int:
@@ -228,6 +230,23 @@ class SessionStats:
     @property
     def be_hits(self) -> int:
         return self.be_hits_memory + self.be_hits_disk
+
+    fe_decodes = fn_hits
+    be_decodes = be_hits
+
+
+#: cache event (its ``session.cache.*`` metric) -> the counter it bumps
+_COUNTERS = {
+    "hit": "hits",
+    "miss": "misses",
+    "corrupt": "corrupt",
+    "evict": "evictions",
+    "disk_evict": "disk_evictions",
+    "fn_hit": "fn_hits",
+    "fn_miss": "fn_misses",
+    "be_hit": "be_hits",
+    "be_miss": "be_misses",
+}
 
 
 # -- content-addressed keys ----------------------------------------------------
@@ -251,18 +270,19 @@ def cache_key(
     cross-module summaries, so per-file and whole-program artifacts for
     the same source never collide (and relinking retires stale entries).
     """
+    return _digest(b"repro-hli-cache", frontend_fingerprint(passes), salt, filename, source)
+
+
+def _digest(tag: bytes, *parts: str) -> str:
+    """SHA-256 over ``tag``, ``CACHE_VERSION``, the binfmt schema
+    fingerprint and ``parts``, each part after a NUL."""
     h = hashlib.sha256()
-    h.update(b"repro-hli-cache\x00")
+    h.update(tag + b"\x00")
     h.update(struct.pack("<H", CACHE_VERSION))
     h.update(_binfmt.fingerprint().encode("ascii"))
-    h.update(b"\x00")
-    h.update(frontend_fingerprint(passes).encode("ascii"))
-    h.update(b"\x00")
-    h.update(salt.encode("utf-8", "surrogatepass"))
-    h.update(b"\x00")
-    h.update(filename.encode("utf-8", "surrogatepass"))
-    h.update(b"\x00")
-    h.update(source.encode("utf-8", "surrogatepass"))
+    for part in parts:
+        h.update(b"\x00")
+        h.update(part.encode("utf-8", "surrogatepass"))
     return h.hexdigest()
 
 
@@ -281,25 +301,21 @@ def _be_key(fe_key: str, opts: CompileOptions, backend_fp: str) -> str:
     passes like ``lint`` excluded — they produce no per-function
     artifact, so toggling them must not duplicate entries).
     """
-    h = hashlib.sha256()
-    h.update(b"repro-fn-be\x00")
-    h.update(struct.pack("<H", CACHE_VERSION))
-    h.update(_binfmt.fingerprint().encode("ascii"))
-    h.update(b"\x00")
-    h.update(fe_key.encode("ascii"))
-    h.update(b"\x00")
-    h.update(backend_fp.encode("ascii"))
-    h.update(b"\x00")
-    h.update(opts.mode.value.encode("ascii"))
-    h.update(b"\x00")
-    h.update(str(opts.unroll).encode("ascii"))
-    h.update(b"\x00")
-    h.update(getattr(opts.latency, "__name__", repr(opts.latency)).encode())
-    return h.hexdigest()
+    return _digest(
+        b"repro-fn-be",
+        fe_key,
+        backend_fp,
+        opts.mode.value,
+        str(opts.unroll),
+        getattr(opts.latency, "__name__", repr(opts.latency)),
+    )
 
 
-def _backend_fp(suffix: Sequence[Pass]) -> str:
-    return pipeline_fingerprint([p for p in suffix if p.per_function])
+def _backend_fp(suffix: Sequence[Pass]) -> Optional[str]:
+    """Fingerprint of the per-function suffix passes; ``None`` when none
+    runs, and then the session reads and writes no be blobs."""
+    per_function = [p for p in suffix if p.per_function]
+    return pipeline_fingerprint(per_function) if per_function else None
 
 
 # -- blob framing / verified decode -------------------------------------------
@@ -527,32 +543,47 @@ def _decode_manifest(data: bytes) -> _Manifest:
         raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _encode_fn_fe(entry: HLIEntry, fn_rtl: RTLFunction) -> bytes:
-    """Serialize one function's pristine front-end artifacts."""
+def _encode_fn(tag: bytes, entry: HLIEntry, rest) -> bytes:
+    """Frame a per-function blob: the HLI entry's binio chunk, then ``rest``."""
     body = io.BytesIO()
     _w_chunk(body, encode_entry(entry))
-    _w_chunk(body, _binfmt.encode(fn_rtl))
-    return _frame(_TAG_FE, body.getvalue())
+    _w_chunk(body, _binfmt.encode(rest))
+    return _frame(tag, body.getvalue())
 
 
-def _decode_fn_fe(data: bytes) -> tuple[HLIEntry, RTLFunction]:
+def _decode_fn(tag: bytes, data: bytes) -> tuple[HLIEntry, object]:
+    """Verified decode of :func:`_encode_fn` output: ``(entry, rest)``.
+
+    Raises :class:`CacheCorruption` on any defect.
+    """
     try:
-        payload = _unframe(_TAG_FE, data)
+        payload = _unframe(tag, data)
         entry_bytes, pos = _r_chunk(payload, 0)
-        rtl_bytes, pos = _r_chunk(payload, pos)
+        rest, pos = _r_chunk(payload, pos)
         if pos != len(payload):
-            raise CacheCorruption("trailing bytes after fe chunks")
-        entry = decode_entry(bytes(entry_bytes))
-        fn_rtl = _binfmt.decode(bytes(rtl_bytes))
-        if not isinstance(fn_rtl, RTLFunction):
-            raise CacheCorruption("decoded pristine RTL has the wrong type")
-        if entry.unit_name != fn_rtl.name:
-            raise CacheCorruption("entry / RTL unit-name mismatch")
-        return entry, fn_rtl
+            raise CacheCorruption("trailing bytes after function chunks")
+        return decode_entry(bytes(entry_bytes)), _binfmt.decode(bytes(rest))
     except CacheCorruption:
         raise
     except Exception as exc:
         raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _check_rtl(fn_rtl, entry: HLIEntry) -> None:
+    if not isinstance(fn_rtl, RTLFunction) or entry.unit_name != fn_rtl.name:
+        raise CacheCorruption("decoded RTL does not match its HLI entry")
+
+
+def _encode_fn_fe(entry: HLIEntry, fn_rtl: RTLFunction) -> bytes:
+    """Serialize one function's pristine front-end artifacts."""
+    return _encode_fn(_TAG_FE, entry, fn_rtl)
+
+
+def _decode_fn_fe(data: bytes) -> tuple[RTLFunction, HLIEntry]:
+    """Verified decode of :func:`_encode_fn_fe` output: ``(fn_rtl, entry)``."""
+    entry, fn_rtl = _decode_fn(_TAG_FE, data)
+    _check_rtl(fn_rtl, entry)
+    return fn_rtl, entry
 
 
 def _encode_fn_be(
@@ -568,13 +599,8 @@ def _encode_fn_be(
     updates); its generation counter rides alongside so a restored query
     sees exactly the state an in-process compile would have left.
     """
-    body = io.BytesIO()
-    _w_chunk(body, encode_entry(entry))
-    _w_chunk(
-        body,
-        _binfmt.encode((fn_rtl, entry.generation, map_stats, dep_stats, opt_frag)),
-    )
-    return _frame(_TAG_BE, body.getvalue())
+    rest = (fn_rtl, entry.generation, map_stats, dep_stats, opt_frag)
+    return _encode_fn(_TAG_BE, entry, rest)
 
 
 def _decode_fn_be(data: bytes):
@@ -582,54 +608,34 @@ def _decode_fn_be(data: bytes):
 
     Returns ``(fn_rtl, entry, map_stats, dep_stats, opt_frag)``.
     """
-    try:
-        payload = _unframe(_TAG_BE, data)
-        entry_bytes, pos = _r_chunk(payload, 0)
-        rest, pos = _r_chunk(payload, pos)
-        if pos != len(payload):
-            raise CacheCorruption("trailing bytes after be chunks")
-        entry = decode_entry(bytes(entry_bytes))
-        fn_rtl, generation, map_stats, dep_stats, opt_frag = _binfmt.decode(
-            bytes(rest)
-        )
-        if not isinstance(fn_rtl, RTLFunction) or entry.unit_name != fn_rtl.name:
-            raise CacheCorruption("decoded back-end RTL has the wrong shape")
-        if not isinstance(generation, int) or generation < 0:
-            raise CacheCorruption("bad entry generation")
-        if map_stats is not None and not isinstance(map_stats, MapStats):
-            raise CacheCorruption("decoded map stats have the wrong type")
-        if dep_stats is not None and not isinstance(dep_stats, DepStats):
-            raise CacheCorruption("decoded dep stats have the wrong type")
-        if opt_frag is not None:
-            from ..backend.passes import OptStats
+    from ..backend.passes import OptStats
 
-            if not isinstance(opt_frag, OptStats):
-                raise CacheCorruption("decoded opt stats have the wrong type")
-        entry.generation = generation
-        return fn_rtl, entry, map_stats, dep_stats, opt_frag
-    except CacheCorruption:
-        raise
-    except Exception as exc:
-        raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
+    entry, rest = _decode_fn(_TAG_BE, data)
+    if not isinstance(rest, tuple) or len(rest) != 5:
+        raise CacheCorruption("back-end chunk has the wrong shape")
+    fn_rtl, generation, map_stats, dep_stats, opt_frag = rest
+    _check_rtl(fn_rtl, entry)
+    if not isinstance(generation, int) or generation < 0:
+        raise CacheCorruption("bad entry generation")
+    for value, cls in ((map_stats, MapStats), (dep_stats, DepStats), (opt_frag, OptStats)):
+        if value is not None and not isinstance(value, cls):
+            raise CacheCorruption(f"decoded {cls.__name__} has the wrong type")
+    entry.generation = generation
+    return fn_rtl, entry, map_stats, dep_stats, opt_frag
 
 
 # -- the session ---------------------------------------------------------------
 
 
-#: Distinguishes concurrent same-key temp files within one process (the
-#: pid alone is not enough once worker *threads* share a session).
-_tmp_ids = itertools.count(1)
-
-
 class CompilationSession:
     """Cached, optionally parallel compilation over a shared artifact store.
 
-    Safe for concurrent use from multiple threads: the in-memory LRU,
-    the :class:`SessionStats` counters, and the disk-budget enforcement
-    are all guarded by one reentrant lock.  The lock is *not* held
-    across pipeline work — two threads cold-compiling the same key may
-    both compute and both store, which is wasteful but correct (stores
-    are idempotent).
+    Safe for concurrent use from multiple threads: the store's one
+    reentrant lock guards its memory LRU, its disk-budget sweep and the
+    :class:`SessionStats` counters.  The lock is *not* held across
+    pipeline work — two threads cold-compiling the same key may both
+    compute and both store, which is wasteful but correct (stores are
+    idempotent).
     """
 
     def __init__(
@@ -638,133 +644,59 @@ class CompilationSession:
         max_memory_entries: int = 1024,
         max_disk_bytes: Optional[int] = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.max_memory_entries = max(0, max_memory_entries)
-        self.max_disk_bytes = max_disk_bytes
-        self._memory: OrderedDict[str, bytes] = OrderedDict()
         self.stats = SessionStats()
-        #: guards ``_memory``, ``stats``, and the disk-budget sweep
-        self._lock = threading.RLock()
+        self.store = ArtifactStore(cache_dir, max_memory_entries, max_disk_bytes, self.stats)
 
-    def _bump(self, counter: str, n: int = 1) -> None:
+    @property
+    def cache_dir(self) -> Optional[Path]:
+        return self.store.cache_dir
+
+    @property
+    def max_disk_bytes(self) -> Optional[int]:
+        return self.store.max_disk_bytes
+
+    def _bump(self, counter: str) -> None:
         """Thread-safe increment of one :class:`SessionStats` counter."""
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + n)
+        with self.store.lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    # -- tier plumbing ---------------------------------------------------------
+    def _count(self, event: str, tier: Optional[str] = None) -> None:
+        """Thread-safe :meth:`SessionStats.count`."""
+        with self.store.lock:
+            self.stats.count(event, tier)
 
-    def _disk_path(self, key: str) -> Optional[Path]:
-        """Sharded location (``ab/cdef….hlic``), git-object style."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / key[:2] / f"{key[2:]}.hlic"
-
-    def _lookup(self, key: str) -> tuple[Optional[bytes], str]:
-        """Return ``(blob, tier)``; tier is ``"memory"``, ``"disk"``, or ``""``."""
-        with self._lock:
-            blob = self._memory.get(key)
-            if blob is not None:
-                self._memory.move_to_end(key)
-                return blob, "memory"
-        path = self._disk_path(key)
-        if path is None:
-            return None, ""
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None, ""
-        try:  # LRU recency for the disk budget
-            os.utime(path)
-        except OSError:
-            pass
-        return blob, "disk"
-
-    def _remember(self, key: str, blob: bytes) -> None:
-        if self.max_memory_entries == 0:
-            return
-        with self._lock:
-            self._memory[key] = blob
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-                self.stats.evictions += 1
-                _metrics.inc("session.cache.evict")
-
-    def _store(self, key: str, blob: bytes, kind: str = "manifest") -> None:
-        if kind == "manifest":
-            self._bump("stores")
-        elif kind == "fe":
-            self._bump("fn_stores")
-        else:
-            self._bump("be_stores")
-        path = self._disk_path(key)
-        if path is not None:
-            tmp = path.parent / (
-                path.name + ".tmp%d.%d" % (os.getpid(), next(_tmp_ids))
-            )
+    def _fetch(self, key: str, decode):
+        """Verified read: ``(decode(blob), tier)``, or ``(None, "")`` when
+        no tier holds ``key`` or its blob fails verification (then it is
+        evicted and counted as ``corrupt``)."""
+        blob, tier = self.store.get(key)
+        if blob is not None:
             try:
-                path.parent.mkdir(exist_ok=True)
-                tmp.write_bytes(blob)
-                os.replace(tmp, path)
-            except OSError:
-                # a read-only or full cache dir must never fail the compile
-                tmp.unlink(missing_ok=True)
-                path = None
-        # Into memory only after the disk write: a thread that finds a
-        # manifest in memory looks up its function blobs next, and any
-        # the LRU has dropped by then must already be on disk.
-        self._remember(key, blob)
-        if path is not None:
-            self._enforce_disk_budget(keep=path)
+                return decode(blob), tier
+            except CacheCorruption:
+                self.store.evict(key)
+                self._count("corrupt")
+        return None, ""
 
-    def _enforce_disk_budget(self, keep: Optional[Path] = None) -> None:
-        """Evict least-recently-used disk entries above ``max_disk_bytes``.
+    def _fetch_function(self, fe_key: str, opts: CompileOptions, backend_fp: Optional[str]):
+        """Verified read of one function's be blob (when the pipeline has
+        per-function passes, ``backend_fp``), else of its fe blob.
 
-        Serialized under the session lock so two threads finishing
-        stores at once do not race the scan and double-evict.
+        Returns ``(fn_cache_states entry, decoded)``, ``decoded`` starting
+        ``(fn_rtl, entry)``, or ``None``.  Counts hits and be misses; an
+        fe miss is the caller's to count.
         """
-        if self.cache_dir is None or self.max_disk_bytes is None:
-            return
-        with self._lock:
-            self._enforce_disk_budget_locked(keep)
-
-    def _enforce_disk_budget_locked(self, keep: Optional[Path] = None) -> None:
-        entries = []
-        total = 0
-        for p in self.cache_dir.rglob("*.hlic"):
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            entries.append((st.st_mtime, str(p), p, st.st_size))
-            total += st.st_size
-        if total <= self.max_disk_bytes:
-            return
-        for _, _, p, size in sorted(entries, key=lambda e: (e[0], e[1])):
-            if keep is not None and p == keep:
-                continue
-            try:
-                p.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.stats.disk_evictions += 1
-            _metrics.inc("session.cache.disk_evict")
-            if total <= self.max_disk_bytes:
-                return
-
-    def _evict_corrupt(self, key: str, tier: str, why: str) -> None:
-        self._bump("corrupt")
-        _metrics.inc("session.cache.corrupt")
-        with self._lock:
-            self._memory.pop(key, None)
-        if tier == "disk":
-            try:
-                self._disk_path(key).unlink(missing_ok=True)
-            except OSError:
-                pass
+        if backend_fp is not None:
+            decoded, tier = self._fetch(_be_key(fe_key, opts, backend_fp), _decode_fn_be)
+            if decoded is not None:
+                self._count("be_hit", tier)
+                return f"be:{tier}", decoded
+            self._count("be_miss")
+        decoded, tier = self._fetch(fe_key, _decode_fn_fe)
+        if decoded is None:
+            return None
+        self._count("fn_hit", tier)
+        return f"fe:{tier}", decoded
 
     # -- compilation -----------------------------------------------------------
 
@@ -803,55 +735,50 @@ class CompilationSession:
                 source, filename, opts, external_effects, analysis=analysis
             )
         key = cache_key(source, filename, passes, salt=extra_salt)
+        backend_fp = _backend_fp(suffix)
         with enabled_scope(opts.trace):
             with _trace.span(
                 "session.compile", file=filename, mode=opts.mode.value
             ) as span:
-                blob, tier = self._lookup(key)
-                man = None
-                if blob is not None:
-                    try:
-                        man = _decode_manifest(blob)
-                    except CacheCorruption as exc:
-                        self._evict_corrupt(key, tier, str(exc))
+                man, tier = self._fetch(key, _decode_manifest)
                 restored = None
                 if man is not None:
                     restored = self._restore_manifest(
                         man,
                         key,
                         tier,
-                        blob,
                         source,
                         filename,
                         opts,
                         prefix,
-                        suffix,
+                        backend_fp,
                         external_effects,
                     )
                 if restored is None:
-                    self._bump("misses")
-                    _metrics.inc("session.cache.miss")
+                    self._count("miss")
                     restored = self._frontend_incremental(
                         key,
                         source,
                         filename,
                         opts,
                         prefix,
-                        suffix,
+                        backend_fp,
                         external_effects=external_effects,
                         extra_salt=extra_salt,
                         analysis=analysis,
                     )
-                comp, stats, fe_keys, fn_states, active = restored
+                comp, stats, fe_keys, fn_states = restored
                 comp.frontend = _lazy_frontend(
                     comp, lambda: self._bump("frontend_decodes")
                 )
                 comp.fn_cache_states = fn_states
+                # the back end runs on every function not restored from a be blob
+                active = [n for n, state in fn_states.items() if not state.startswith("be:")]
                 ctx = PassContext(comp=comp, opts=opts, active_units=active)
                 initial = sorted({a for p in prefix for a in p.provides})
                 make_manager(suffix).run(ctx, initial=initial, stats=stats)
                 comp.pipeline_stats = stats
-                self._store_backend(ctx, suffix, fe_keys)
+                self._store_backend(ctx, backend_fp, fe_keys)
                 span.set(cache=comp.cache_state)
                 return comp
 
@@ -860,12 +787,11 @@ class CompilationSession:
         man: _Manifest,
         key: str,
         tier: str,
-        blob: bytes,
         source,
         filename,
         opts,
         prefix,
-        suffix,
+        backend_fp,
         external_effects,
     ):
         """Rebuild a compilation purely from cached blobs, or ``None``.
@@ -889,70 +815,27 @@ class CompilationSession:
             cache_state=tier,
             external_effects=external_effects,
         )
-        use_be = any(p.per_function for p in suffix)
-        backend_fp = _backend_fp(suffix) if use_be else ""
         fn_states: dict[str, str] = {}
-        active: list[str] = []
         for name, fe_key in man.fe_keys.items():
-            frame = (man.frames[name], man.frame_sizes[name])
-            decoded = None
-            btier = ""
-            if use_be:
-                bkey = _be_key(fe_key, opts, backend_fp)
-                bblob, btier = self._lookup(bkey)
-                if bblob is not None:
-                    try:
-                        decoded = _decode_fn_be(bblob)
-                    except CacheCorruption as exc:
-                        self._evict_corrupt(bkey, btier, str(exc))
-            if decoded is not None:
-                if btier == "memory":
-                    self._bump("be_hits_memory")
-                else:
-                    self._bump("be_hits_disk")
-                    self._remember(bkey, bblob)
-                self._bump("be_decodes")
-                _metrics.inc("session.cache.be_hit", btier)
-                self._install_be(comp, name, decoded, frame=frame)
-                fn_states[name] = f"be:{btier}"
-                continue
-            if use_be:
-                self._bump("be_misses")
-                _metrics.inc("session.cache.be_miss")
-            fblob, ftier = self._lookup(fe_key)
-            fdec = None
-            if fblob is not None:
-                try:
-                    fdec = _decode_fn_fe(fblob)
-                except CacheCorruption as exc:
-                    self._evict_corrupt(fe_key, ftier, str(exc))
-            if fdec is None:
-                self._evict_corrupt(key, tier, f"function blob missing: {name}")
+            got = self._fetch_function(fe_key, opts, backend_fp)
+            if got is None:
+                self.store.evict(key)
+                self._count("corrupt")
                 return None
-            entry, fn_rtl = fdec
-            if ftier == "memory":
-                self._bump("fn_hits_memory")
-            else:
-                self._bump("fn_hits_disk")
-                self._remember(fe_key, fblob)
-            self._bump("fe_decodes")
-            _metrics.inc("session.cache.fn_hit", ftier)
-            fmap, fsize = frame
-            fn_rtl.frame = dict(fmap)
-            fn_rtl.frame_size = fsize
+            fn_states[name], decoded = got
+            fn_rtl, entry = decoded[:2]
+            # Per-function blobs are shared across files, so their frames
+            # may follow another program order: use this file's.
+            fn_rtl.frame = dict(man.frames[name])
+            fn_rtl.frame_size = man.frame_sizes[name]
             entry.filename = man.source_filename or filename
             comp.rtl.functions[name] = fn_rtl
             comp.hli.add(entry)
-            fn_states[name] = f"fe:{ftier}"
-            active.append(name)
-        if tier == "memory":
-            self._bump("hits_memory")
-        else:
-            self._bump("hits_disk")
-            self._remember(key, blob)
-        _metrics.inc("session.cache.hit", tier)
+            if fn_states[name].startswith("be:"):
+                self._install_be(comp, name, decoded)
+        self._count("hit", tier)
         stats = PipelineStats(cached_prefix=tuple(p.name for p in prefix))
-        return comp, stats, dict(man.fe_keys), fn_states, active
+        return comp, stats, dict(man.fe_keys), fn_states
 
     def _frontend_incremental(
         self,
@@ -961,7 +844,7 @@ class CompilationSession:
         filename,
         opts,
         prefix,
-        suffix,
+        backend_fp,
         external_effects=None,
         extra_salt="",
         analysis: Optional["UnitAnalysis"] = None,
@@ -1005,113 +888,50 @@ class CompilationSession:
             builder.refmod,
             salt=_fe_salt(prefix, filename, extra_salt),
         )
-        use_be = any(p.per_function for p in suffix)
-        backend_fp = _backend_fp(suffix) if use_be else ""
         hli = HLIFile(source_filename=program.filename)
         cached_rtl: dict[str, RTLFunction] = {}
         be_installs: dict[str, tuple] = {}
         fn_states: dict[str, str] = {}
         fresh: list[str] = []
-        any_hit = False
         with _trace.span("analysis.build_hli", file=filename):
             for fn in program.functions:
-                fe_key = keys.fe[fn.name]
-                if use_be:
-                    bkey = _be_key(fe_key, opts, backend_fp)
-                    bblob, btier = self._lookup(bkey)
-                    bdec = None
-                    if bblob is not None:
-                        try:
-                            bdec = _decode_fn_be(bblob)
-                        except CacheCorruption as exc:
-                            self._evict_corrupt(bkey, btier, str(exc))
-                    if bdec is not None:
-                        entry = bdec[1]
-                        entry.filename = program.filename
-                        if btier == "memory":
-                            self._bump("be_hits_memory")
-                        else:
-                            self._bump("be_hits_disk")
-                            self._remember(bkey, bblob)
-                        self._bump("be_decodes")
-                        _metrics.inc("session.cache.be_hit", btier)
-                        # The be-final RTL splices like a pristine one:
-                        # frames re-lay in program order either way.
-                        cached_rtl[fn.name] = bdec[0]
-                        be_installs[fn.name] = bdec
-                        hli.add(entry)
-                        fn_states[fn.name] = f"be:{btier}"
-                        any_hit = True
-                        continue
-                    self._bump("be_misses")
-                    _metrics.inc("session.cache.be_miss")
-                blob, tier = self._lookup(fe_key)
-                decoded = None
-                if blob is not None:
-                    try:
-                        decoded = _decode_fn_fe(blob)
-                    except CacheCorruption as exc:
-                        self._evict_corrupt(fe_key, tier, str(exc))
-                if decoded is not None:
-                    entry, fn_rtl = decoded
-                    entry.filename = program.filename
-                    if tier == "memory":
-                        self._bump("fn_hits_memory")
-                    else:
-                        self._bump("fn_hits_disk")
-                        self._remember(fe_key, blob)
-                    self._bump("fe_decodes")
-                    _metrics.inc("session.cache.fn_hit", tier)
-                    cached_rtl[fn.name] = fn_rtl
-                    fn_states[fn.name] = f"fe:{tier}"
-                    any_hit = True
-                else:
-                    self._bump("fn_misses")
-                    _metrics.inc("session.cache.fn_miss")
+                got = self._fetch_function(keys.fe[fn.name], opts, backend_fp)
+                if got is None:
+                    self._count("fn_miss")
                     entry, _unit = builder.build_unit(fn)
                     fn_states[fn.name] = "cold"
                     fresh.append(fn.name)
+                else:
+                    fn_states[fn.name], decoded = got
+                    # A be-final RTL splices like a pristine one: frames
+                    # re-lay in program order either way.
+                    cached_rtl[fn.name], entry = decoded[:2]
+                    entry.filename = program.filename
+                    if fn_states[fn.name].startswith("be:"):
+                        be_installs[fn.name] = decoded
                 hli.add(entry)
         stats.passes_run.append("hli-build")
         rtl = lower_program(program, table, cached=cached_rtl)
         stats.passes_run.append("lower")
         comp.hli, comp.rtl = hli, rtl
-        for name, bdec in be_installs.items():
-            # Lowering already replayed the frame on the spliced RTL.
-            self._install_be(comp, name, bdec, frame=None)
-        comp.cache_state = "incremental" if any_hit else "cold"
-        active = [n for n in rtl.functions if n not in be_installs]
+        for name, decoded in be_installs.items():
+            self._install_be(comp, name, decoded)
+        comp.cache_state = "incremental" if cached_rtl else "cold"
         # Store pristine artifacts before any back-end pass mutates them.
         with _trace.span("session.cache.store", fresh=len(fresh)):
             for name in fresh:
-                self._store(
-                    keys.fe[name],
-                    _encode_fn_fe(hli.entries[name], rtl.functions[name]),
-                    kind="fe",
-                )
-            self._store(key, _encode_manifest(comp, keys.fe), kind="manifest")
-        return comp, stats, dict(keys.fe), fn_states, active
+                self._bump("fn_stores")
+                blob = _encode_fn_fe(hli.entries[name], rtl.functions[name])
+                self.store.put(keys.fe[name], blob)
+            self._bump("stores")
+            self.store.put(key, _encode_manifest(comp, keys.fe))
+        return comp, stats, dict(keys.fe), fn_states
 
-    def _install_be(
-        self, comp: Compilation, name: str, decoded, frame=None
-    ) -> None:
-        """Splice one function's finished back-end artifacts into ``comp``.
-
-        ``frame`` carries the manifest's recorded ``(slots, size)`` for
-        this function *in this file* — per-function blobs are shared
-        across files, so their stored frames may reflect a different
-        program order.  ``None`` means the frame is already correct
-        (the lowering splice replayed it, or the blob was produced by
-        this very compile).
-        """
-        fn_rtl, entry, map_stats, dep_stats, opt_frag = decoded
-        if frame is not None:
-            fmap, fsize = frame
-            fn_rtl.frame = dict(fmap)
-            fn_rtl.frame_size = fsize
-        comp.rtl.functions[name] = fn_rtl
-        entry.filename = comp.hli.source_filename or comp.filename
-        comp.hli.entries[name] = entry
+    def _install_be(self, comp: Compilation, name: str, decoded) -> None:
+        """Add one restored function's back-end results to ``comp``: its
+        query and its mapping, scheduling and optimization statistics
+        (the caller has placed its RTL and HLI entry)."""
+        _fn_rtl, entry, map_stats, dep_stats, opt_frag = decoded
         comp.queries[name] = HLIQuery(entry)
         if map_stats is not None:
             comp.map_stats[name] = map_stats
@@ -1129,16 +949,13 @@ class CompilationSession:
     def _store_backend(
         self,
         ctx: PassContext,
-        suffix: Sequence[Pass],
+        backend_fp: Optional[str],
         fe_keys: dict[str, str],
     ) -> None:
         """Store the finished back-end artifacts of every active unit."""
-        if not ctx.active_units:
-            return
-        if not any(p.per_function for p in suffix):
+        if backend_fp is None or not ctx.active_units:
             return
         comp = ctx.comp
-        backend_fp = _backend_fp(suffix)
         with _trace.span("session.cache.store_backend") as span:
             stored = 0
             for name in ctx.active_units:
@@ -1154,7 +971,8 @@ class CompilationSession:
                     comp.dep_stats.get(name),
                     ctx.fn_opt_stats.get(name),
                 )
-                self._store(_be_key(fe_key, ctx.opts, backend_fp), blob, kind="be")
+                self._bump("be_stores")
+                self.store.put(_be_key(fe_key, ctx.opts, backend_fp), blob)
                 stored += 1
             span.set(stored=stored)
 
@@ -1165,7 +983,7 @@ class CompilationSession:
         jobs: Sequence,
         max_workers: Optional[int] = None,
     ) -> list[Compilation]:
-        """Compile a batch of ``(source, filename[, options])`` jobs.
+        """Compile a batch of :class:`CompileJob` items.
 
         Each job is its own partition of :meth:`compile_partitions`, so
         warm jobs compile in this process, which also compiles every
@@ -1179,15 +997,8 @@ class CompilationSession:
         return [comp for part in parts for comp in part]
 
     def _compile_job(self, job: CompileJob) -> Compilation:
-        """Compile one normalized job through this session's cache."""
-        return self.compile(
-            job.source,
-            job.filename,
-            job.options,
-            external_effects=job.external_effects,
-            extra_salt=job.extra_salt,
-            analysis=job.analysis,
-        )
+        """Compile one job through this session's cache."""
+        return self.compile(**vars(job))
 
     def _absorb_remote(self, comp: Compilation) -> None:
         """Fold a forked child's compilation into this session's counters."""
@@ -1202,7 +1013,7 @@ class CompilationSession:
     def _probe_warm(self, job: CompileJob) -> bool:
         """True if ``job``'s manifest is already in this session's cache.
 
-        A presence check (memory tier, else the disk file): used by
+        A presence check that reads no blob: used by
         :meth:`compile_partitions` to keep warm jobs in this process,
         whose :meth:`compile` then reads the manifest once.  A corrupt
         manifest counts as present; :meth:`compile` evicts and rebuilds
@@ -1214,11 +1025,7 @@ class CompilationSession:
         if not prefix:
             return False
         key = cache_key(job.source, job.filename, passes, salt=job.extra_salt)
-        with self._lock:
-            if key in self._memory:
-                return True
-        path = self._disk_path(key)
-        return path is not None and path.is_file()
+        return self.store.contains(key)
 
     def compile_partitions(
         self,
@@ -1256,7 +1063,7 @@ class CompilationSession:
         When at most one cold partition is left, it compiles here too
         and nothing forks.
         """
-        norm = [[_normalize_job(j) for j in part] for part in partitions]
+        norm = [[_check_job(j) for j in part] for part in partitions]
         results: list[list[Optional[Compilation]]] = [
             [None] * len(part) for part in norm
         ]
@@ -1284,8 +1091,7 @@ class CompilationSession:
             return results
         from concurrent.futures.process import BrokenProcessPool
 
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        task = partial(_compile_partition_worker, cache_dir, self.max_disk_bytes)
+        task = partial(_compile_partition_worker, self.cache_dir, self.max_disk_bytes)
         procs = min(workers - 1, len(pooled))
         out: Optional[list[list[Compilation]]] = None
         try:
@@ -1311,30 +1117,21 @@ class CompilationSession:
                 for (pi, ji, _job), comp in zip(batch, comps):
                     results[pi][ji] = comp
                     self._absorb_remote(comp)
-        self._enforce_disk_budget()
+        self.store.sweep()
         return results
 
 
-def _normalize_job(job) -> CompileJob:
-    if isinstance(job, CompileJob):
-        return job
-    if isinstance(job, (tuple, list)):
-        if len(job) == 2:
-            return CompileJob(source=job[0], filename=job[1])
-        if len(job) == 3:
-            return CompileJob(source=job[0], filename=job[1], options=job[2])
+def _check_job(job) -> CompileJob:
+    if not isinstance(job, CompileJob):
         raise ValueError(
-            "compile_many job tuple must be (source, filename[, options]); "
-            f"got {len(job)} elements — use CompileJob to carry "
-            "external_effects/extra_salt"
+            "a compile_many job must be a CompileJob(source, filename, ...), "
+            f"got {type(job).__name__}"
         )
-    raise ValueError(
-        f"compile_many job must be a CompileJob or a tuple, got {type(job).__name__}"
-    )
+    return job
 
 
 def _compile_partition_worker(
-    cache_dir: Optional[str],
+    cache_dir: Optional[Path],
     max_disk_bytes: Optional[int],
     jobs: Sequence[CompileJob],
 ) -> list[Compilation]:

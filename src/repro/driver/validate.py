@@ -242,11 +242,11 @@ def _speedup_row(t) -> dict:
 
 
 def _speedup_worker(job: tuple) -> dict:
-    """Module-level (picklable) fan-out worker: time one benchmark.
+    """Fan-out worker for :func:`parallel_map`: time one benchmark.
 
-    Each worker process builds its own session over the shared disk
-    cache, under the parent's disk budget, so the four compiles inside
-    ``time_benchmark`` still share one front end even across the pool.
+    Each worker builds its own session over the shared disk cache,
+    under the parent's disk budget, so the four compiles inside
+    ``time_benchmark`` still share one front end even across workers.
     """
     name, cache_dir, max_disk_bytes = job
     sess = CompilationSession(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
@@ -263,7 +263,7 @@ def _collect_speedups(
             [(b.name, cache_dir, session.max_disk_bytes) for b in BENCHMARKS],
             max_workers=jobs,
         )
-        session._enforce_disk_budget()
+        session.store.sweep()
         report.speedups.extend(rows)
         return
     for b in BENCHMARKS:

@@ -14,6 +14,7 @@ from repro.driver import session as session_mod
 from repro.driver.passes import build_pipeline
 from repro.driver.session import (
     CompilationSession,
+    CompileJob,
     cache_key,
     parallel_map,
     resolve_workers,
@@ -48,9 +49,9 @@ def _no_children_left() -> bool:
     return False
 
 
-def _jobs(n: int = 4) -> list[tuple]:
+def _jobs(n: int = 4) -> list[CompileJob]:
     return [
-        (b.source, b.name, CompileOptions(mode=DDGMode.COMBINED))
+        CompileJob(b.source, b.name, CompileOptions(mode=DDGMode.COMBINED))
         for b in BENCHMARKS[:n]
     ]
 
@@ -120,9 +121,8 @@ class TestCompileMany:
         assert sess.stats.stores == 3
 
 
-def _manifest_key(job: tuple) -> str:
-    source, filename, opts = job
-    return cache_key(source, filename, build_pipeline(opts))
+def _manifest_key(job: CompileJob) -> str:
+    return cache_key(job.source, job.filename, build_pipeline(job.options))
 
 
 class TestWarmProbe:
@@ -131,13 +131,13 @@ class TestWarmProbe:
         CompilationSession(cache_dir=tmp_path / "c").compile_many(jobs, max_workers=1)
         sess = CompilationSession(cache_dir=tmp_path / "c")
         reads: list[str] = []
-        lookup = sess._lookup
+        get = sess.store.get
 
-        def counting_lookup(key):
+        def counting_get(key):
             reads.append(key)
-            return lookup(key)
+            return get(key)
 
-        monkeypatch.setattr(sess, "_lookup", counting_lookup)
+        monkeypatch.setattr(sess.store, "get", counting_get)
         warm = sess.compile_many(jobs, max_workers=2)
         manifests = sorted(_manifest_key(job) for job in jobs)
         assert [c.cache_state for c in warm] == ["disk", "disk"]
@@ -147,7 +147,7 @@ class TestWarmProbe:
         jobs = _jobs(2)
         filled = CompilationSession(cache_dir=tmp_path / "c")
         filled.compile_many(jobs, max_workers=1)
-        filled._disk_path(_manifest_key(jobs[0])).write_bytes(b"garbage")
+        filled.store.put(_manifest_key(jobs[0]), b"garbage")
         sess = CompilationSession(cache_dir=tmp_path / "c")
         comps = sess.compile_many(jobs, max_workers=2)
         assert [c.cache_state for c in comps] == ["incremental", "disk"]

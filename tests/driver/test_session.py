@@ -8,11 +8,13 @@ from repro import CompileOptions, compile_source, obs
 from repro.backend.ddg import DDGMode
 from repro.difftest.diff import build_matrix
 from repro.difftest.incremental import canonical_rtl
+from repro.driver.passes import build_pipeline
 from repro.driver.session import (
     CacheCorruption,
     CompilationSession,
     _decode_manifest,
     _encode_manifest,
+    cache_key,
 )
 from repro.machine.executor import execute
 from repro.obs import trace
@@ -205,6 +207,57 @@ class TestCorruption:
             SIMPLE_MAIN, "simple.c"
         )
         assert comp.cache_state == "disk"
+
+    def test_lost_function_blobs_fail_the_restore_and_fall_back(
+        self, disk_session, monkeypatch
+    ):
+        puts: list[str] = []
+        put = disk_session.store.put
+        monkeypatch.setattr(
+            disk_session.store, "put", lambda key, blob: (puts.append(key), put(key, blob))
+        )
+        disk_session.compile(CHAIN_SOURCE, "chain.c")
+        # a cold compile stores the fe blobs in program order (leaf, mid,
+        # other, main), then the manifest, then the be blobs
+        assert len(puts) == 9
+        assert puts[4] == cache_key(CHAIN_SOURCE, "chain.c", build_pipeline(CompileOptions()))
+        disk_session.store.evict(puts[1])  # mid's fe blob
+        disk_session.store.evict(puts[6])  # mid's be blob
+        sess = CompilationSession(cache_dir=disk_session.cache_dir)
+        comp = sess.compile(CHAIN_SOURCE, "chain.c")
+        assert comp.cache_state == "incremental"
+        assert comp.fn_cache_states == {
+            "leaf": "be:memory",  # read from disk by the failed restore
+            "mid": "cold",
+            "other": "be:disk",
+            "main": "be:disk",
+        }
+        assert canonical_rtl(comp.rtl) == canonical_rtl(
+            compile_source(CHAIN_SOURCE, "chain.c").rtl
+        )
+        # the restore counts leaf's be hit and mid's be miss, then evicts
+        # the manifest (corrupt); the fallback counts one miss and, for
+        # mid alone, a second be miss and the only fn miss
+        assert sess.stats.to_dict() == {
+            "hits_memory": 0,
+            "hits_disk": 0,
+            "misses": 1,
+            "corrupt": 1,
+            "evictions": 0,
+            "stores": 1,
+            "fn_hits_memory": 0,
+            "fn_hits_disk": 0,
+            "fn_misses": 1,
+            "fn_stores": 1,
+            "be_hits_memory": 1,
+            "be_hits_disk": 3,
+            "be_misses": 2,
+            "be_stores": 1,
+            "disk_evictions": 0,
+            "fe_decodes": 0,
+            "be_decodes": 4,
+            "frontend_decodes": 0,
+        }
 
     def _fake_keys(self, comp) -> dict:
         import hashlib

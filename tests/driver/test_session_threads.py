@@ -9,8 +9,10 @@ to a serial compile, and nothing raises :class:`CacheCorruption`.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from repro.difftest.incremental import canonical_rtl
 from repro.driver.session import CompilationSession
@@ -121,16 +123,19 @@ class TestConcurrentSession:
         # evicted from a small LRU first, and a thread restoring a
         # manifest then finds neither copy (counted as corrupt).
         sess = CompilationSession(cache_dir=tmp_path / "cache")
-        on_disk = []
-        remember = sess._remember
+        in_store = []
+        replace = os.replace
 
-        def checked(key, blob):
-            on_disk.append(sess._disk_path(key).exists())
-            remember(key, blob)
+        def checked(tmp, path):
+            # the store renames each entry into place (``ab/cdef….hlic``,
+            # shard dir + stem = key): until then no tier may hold it
+            in_store.append(sess.store.contains(Path(path).parent.name + Path(path).stem))
+            replace(tmp, path)
 
-        monkeypatch.setattr(sess, "_remember", checked)
+        monkeypatch.setattr(os, "replace", checked)
         sess.compile(FIG2_SOURCE, "fig2.c")
-        assert on_disk and all(on_disk)
+        assert in_store and not any(in_store)
+        assert len(in_store) == len(list((tmp_path / "cache").rglob("*.hlic")))
 
     def test_disk_budget_enforced_under_contention(self, tmp_path):
         # Tight disk budget: concurrent stores race with LRU eviction.

@@ -143,8 +143,11 @@ def _batch_after_death(monkeypatch, death) -> tuple[CompilationSession, int]:
     monkeypatch.setattr(session_mod, "_compile_partition_worker", death)
     sess = CompilationSession()
     partitions = [
-        [("int a() { return 1; }", "a.c"), ("int b() { return 2; }", "b.c")],
-        [("int c() { return 3; }", "c.c")],
+        [
+            CompileJob("int a() { return 1; }", "a.c"),
+            CompileJob("int b() { return 2; }", "b.c"),
+        ],
+        [CompileJob("int c() { return 3; }", "c.c")],
     ]
     obs.reset()
     try:
@@ -243,8 +246,8 @@ class TestWorkerDeath:
     def test_healthy_pool_not_affected(self):
         sess = CompilationSession()
         partitions = [
-            [("int a() { return 1; }", "a.c")],
-            [("int b() { return 2; }", "b.c")],
+            [CompileJob("int a() { return 1; }", "a.c")],
+            [CompileJob("int b() { return 2; }", "b.c")],
         ]
         results = sess.compile_partitions(partitions, max_workers=2)
         names = [list(c.rtl.functions) for part in results for c in part]
@@ -268,11 +271,11 @@ class TestSemanticErrorAcrossTheFork:
     def test_error_in_a_forked_partition_re_raises_in_the_parent(self):
         with pytest.raises(SemanticError) as serial:
             CompilationSession().compile_partitions(
-                [[self.GOOD], [self.BAD]], max_workers=1
+                [[CompileJob(*self.GOOD)], [CompileJob(*self.BAD)]], max_workers=1
             )
         with pytest.raises(SemanticError) as forked:
             CompilationSession().compile_partitions(
-                [[self.GOOD], [self.BAD]], max_workers=2
+                [[CompileJob(*self.GOOD)], [CompileJob(*self.BAD)]], max_workers=2
             )
         assert str(serial.value) == str(forked.value) == self.MESSAGE
         assert forked.value.pos == serial.value.pos
@@ -355,8 +358,11 @@ class TestParentWork:
     def test_two_partitions_fork_one_process(self, monkeypatch):
         fanouts = _recording_forks(monkeypatch, [])
         partitions = [
-            [("int a() { return 1; }", "a.c"), ("int b() { return 2; }", "b.c")],
-            [("int c() { return 3; }", "c.c")],
+            [
+                CompileJob("int a() { return 1; }", "a.c"),
+                CompileJob("int b() { return 2; }", "b.c"),
+            ],
+            [CompileJob("int c() { return 3; }", "c.c")],
         ]
         obs.reset()
         try:
@@ -377,10 +383,10 @@ class TestParentWork:
         events: list[str] = []
         fanouts = _recording_forks(monkeypatch, events)
         sess = CompilationSession()
-        warm = ("int a() { return 1; }", "a.c")
-        sess.compile(*warm)
+        warm = CompileJob("int a() { return 1; }", "a.c")
+        sess.compile(warm.source, warm.filename)
         results = sess.compile_partitions(
-            [[warm], [("int b() { return 2; }", "b.c")]], max_workers=2
+            [[warm], [CompileJob("int b() { return 2; }", "b.c")]], max_workers=2
         )
         assert [part[0].cache_state for part in results] == ["memory", "cold"]
         assert fanouts == [] and events == []
@@ -389,8 +395,8 @@ class TestParentWork:
         events: list[str] = []
         fanouts = _recording_forks(monkeypatch, events)
         sess = CompilationSession()
-        warm = ("int w() { return 0; }", "w.c")
-        sess.compile(*warm)
+        warm = CompileJob("int w() { return 0; }", "w.c")
+        sess.compile(warm.source, warm.filename)
         restore = sess._restore_manifest
 
         def recording_restore(*args, **kwargs):
@@ -401,8 +407,8 @@ class TestParentWork:
         results = sess.compile_partitions(
             [
                 [warm],
-                [("int a() { return 1; }", "a.c")],
-                [("int b() { return 2; }", "b.c")],
+                [CompileJob("int a() { return 1; }", "a.c")],
+                [CompileJob("int b() { return 2; }", "b.c")],
             ],
             max_workers=2,
         )
@@ -492,14 +498,6 @@ class TestFanOutCutoff:
 
 
 class TestCompileJobNormalization:
-    def test_tuples_and_dataclass_jobs_equivalent(self):
-        src = "int main() { return 5; }"
-        a = CompilationSession().compile_many([(src, "m.c")], max_workers=1)
-        b = CompilationSession().compile_many(
-            [CompileJob(source=src, filename="m.c")], max_workers=1
-        )
-        assert canonical_rtl(a[0].rtl) == canonical_rtl(b[0].rtl)
-
     def test_job_carries_salt_and_effects(self):
         sess = CompilationSession()
         src = "int main() { return 5; }"
