@@ -48,7 +48,6 @@ from .items import (
 )
 from .refmod import EffectSet, ForeignObject, analyze_refmod
 from .regions import Region, RegionTreeBuilder
-from .subscripts import Affine
 
 _ITEM_TYPE = {
     AccessKind.LOAD: ItemType.LOAD,

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import StorageClass, Symbol
-from ..frontend.typesys import INT, ArrayType, PointerType, StructType
+from ..frontend.typesys import INT, PointerType, StructType
 from .subscripts import Affine, affine_of
 
 #: Number of argument-passing registers in the modelled MIPS o32-like ABI.

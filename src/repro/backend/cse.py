@@ -22,7 +22,7 @@ keeping the line-table mapping consistent for later passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..hli.maintenance import delete_item

@@ -29,7 +29,7 @@ from ..hli.tables import HLIEntry
 from ..obs import metrics, trace
 from .cse import _PURE_OPS
 from .deps import may_conflict
-from .rtl import Insn, Opcode, Reg, RTLFunction
+from .rtl import Insn, Opcode, RTLFunction
 
 
 @dataclass

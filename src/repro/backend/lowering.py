@@ -23,7 +23,7 @@ is documented as a substitution in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.items import (
@@ -32,7 +32,6 @@ from ..analysis.items import (
     AccessRole,
     NUM_ARG_REGS,
     arg_slot_symbol,
-    walk_call,
     walk_rvalue,
     walk_stmt_accesses,
 )

@@ -1,11 +1,8 @@
 """Optimization pass statistics.
 
-The orchestration that used to live here (``run_optimizations``) moved
-into the pass manager: each optimization is now a declared
-:class:`repro.backend.pm.Pass` in :mod:`repro.driver.passes`, and the
-manual "rebuild ``HLIQuery`` after table mutations" loop became a
-declared invalidation that the manager enforces centrally.  What remains
-is the aggregate statistics container shared by the three passes.
+:mod:`repro.driver.passes` runs the three optimizations (and rebuilds
+the ``HLIQuery`` indices after they mutate the HLI tables); this module
+holds the aggregate statistics container they share.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ AND combination.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 

@@ -25,13 +25,11 @@ distances, software pipelining has almost no headroom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..hli.query import HLIQuery
-from ..hli.tables import RegionType
 from ..machine.latencies import r10000_latency
-from .cfg import build_cfg
 from .ddg import DDGBuilder, DDGMode
 from .deps import may_conflict
 from .rtl import Insn, Opcode, RTLFunction

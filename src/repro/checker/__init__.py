@@ -7,9 +7,8 @@ pipeline independently checks that the facts it consumes are still
 sound.  This package adds that layer, in three tiers:
 
 * :mod:`repro.checker.dataflow` — a generic iterative (worklist)
-  dataflow framework over the back-end CFG/RTL, with reaching
-  definitions, liveness, and available-loads instances.  Reusable by
-  future optimizer passes.
+  dataflow framework over the back-end CFG/RTL, with a reaching
+  definitions instance.
 * :mod:`repro.checker.oracle` — an independent, conservative dependence
   oracle derived from that framework.  It never reads the HLI, which is
   what makes it a *sound baseline*: anything it proves contradicts an
@@ -24,15 +23,7 @@ sound.  This package adds that layer, in three tiers:
 See ``docs/CHECKER.md`` for the rule catalogue and exit codes.
 """
 
-from .dataflow import (
-    AvailableLoads,
-    DataflowProblem,
-    DataflowResult,
-    Direction,
-    Liveness,
-    ReachingDefinitions,
-    solve,
-)
+from .dataflow import DataflowProblem, DataflowResult, ReachingDefinitions, solve
 from .dynamic import dynamic_audit
 from .lint import HLILinter, lint_compilation
 from .oracle import CallEffectOracle, DependenceOracle, DepVerdict
@@ -40,17 +31,14 @@ from .rules import Diagnostic, LintReport, Rule, RULES, Severity
 from .wplint import lint_whole_program
 
 __all__ = [
-    "AvailableLoads",
     "CallEffectOracle",
     "DataflowProblem",
     "DataflowResult",
     "DependenceOracle",
     "DepVerdict",
     "Diagnostic",
-    "Direction",
     "HLILinter",
     "LintReport",
-    "Liveness",
     "ReachingDefinitions",
     "Rule",
     "RULES",

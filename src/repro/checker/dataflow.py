@@ -1,52 +1,37 @@
 """Generic iterative dataflow framework over the back-end CFG.
 
-A classic worklist solver parameterized by a :class:`DataflowProblem`:
-direction (forward/backward), a meet operator, and per-instruction
-transfer functions.  Facts are immutable ``frozenset`` values, so the
-solver can compare and cache them freely.
+A classic forward worklist solver parameterized by a
+:class:`DataflowProblem`: a meet operator and per-instruction transfer
+functions.  Facts are immutable ``frozenset`` values, so the solver can
+compare and cache them freely.
 
-Three standard problems are provided, each over the RTL of one
-function's :class:`~repro.backend.cfg.CFG`:
-
-* :class:`ReachingDefinitions` — which register-writing instructions may
-  reach a program point (union meet);
-* :class:`Liveness`            — which pseudo registers are live
-  (backward, union meet);
-* :class:`AvailableLoads`      — which statically resolved memory
-  locations hold an already-loaded value (intersection meet).
-
-These are deliberately HLI-free: the checker's dependence oracle
-(:mod:`repro.checker.oracle`) and future optimizer passes build on them
-without consuming any front-end facts.
+One problem is provided, over the RTL of one function's
+:class:`~repro.backend.cfg.CFG`: :class:`ReachingDefinitions`, which
+register-writing instructions may reach a program point (union meet).
+It is deliberately HLI-free: the checker's dependence oracle
+(:mod:`repro.checker.oracle`) builds on it without consuming any
+front-end facts.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..backend.cfg import CFG, BasicBlock
-from ..backend.rtl import Insn, Opcode
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
+from ..backend.rtl import Insn
 
 
 class DataflowProblem:
-    """One dataflow problem: lattice + transfer functions.
+    """One forward dataflow problem: lattice + transfer functions.
 
-    Subclasses set :attr:`direction` and implement :meth:`boundary`
-    (the fact entering the CFG), :meth:`top` (the initial interior
-    fact), :meth:`meet`, and :meth:`transfer_insn`.
+    Subclasses implement :meth:`boundary` (the fact entering the CFG),
+    :meth:`top` (the initial interior fact), :meth:`meet`, and
+    :meth:`transfer_insn`.
     """
 
-    direction: Direction = Direction.FORWARD
-
     def boundary(self) -> frozenset:
-        """Fact at the entry (forward) or exit (backward) of the CFG."""
+        """Fact at the entry of the CFG."""
         return frozenset()
 
     def top(self) -> frozenset:
@@ -58,14 +43,11 @@ class DataflowProblem:
         return a | b
 
     def transfer_insn(self, insn: Insn, fact: frozenset) -> frozenset:
-        """Fact after (forward) / before (backward) one instruction."""
+        """Fact after one instruction."""
         return fact
 
     def transfer_block(self, block: BasicBlock, fact: frozenset) -> frozenset:
-        insns = block.insns
-        if self.direction is Direction.BACKWARD:
-            insns = list(reversed(insns))
-        for insn in insns:
+        for insn in block.insns:
             fact = self.transfer_insn(insn, fact)
         return fact
 
@@ -76,31 +58,18 @@ class DataflowResult:
 
     problem: DataflowProblem
     cfg: CFG
-    #: block index -> fact at block entry (forward) / exit (backward)
+    #: block index -> fact at block entry
     in_facts: dict[int, frozenset] = field(default_factory=dict)
-    #: block index -> fact at block exit (forward) / entry (backward)
+    #: block index -> fact at block exit
     out_facts: dict[int, frozenset] = field(default_factory=dict)
     iterations: int = 0
 
     def insn_facts(self, block: BasicBlock) -> Iterator[tuple[Insn, frozenset]]:
-        """Yield ``(insn, fact holding just before it)`` in program order.
-
-        For backward problems the fact is the one holding just *after*
-        the instruction (the direction facts flow from).
-        """
-        problem = self.problem
-        if problem.direction is Direction.FORWARD:
-            fact = self.in_facts[block.index]
-            for insn in block.insns:
-                yield insn, fact
-                fact = problem.transfer_insn(insn, fact)
-        else:
-            fact = self.in_facts[block.index]
-            pairs = []
-            for insn in reversed(block.insns):
-                pairs.append((insn, fact))
-                fact = problem.transfer_insn(insn, fact)
-            yield from reversed(pairs)
+        """Yield ``(insn, fact holding just before it)`` in program order."""
+        fact = self.in_facts[block.index]
+        for insn in block.insns:
+            yield insn, fact
+            fact = self.problem.transfer_insn(insn, fact)
 
 
 def _rpo(cfg: CFG) -> list[int]:
@@ -137,30 +106,21 @@ def _rpo(cfg: CFG) -> list[int]:
 def solve(cfg: CFG, problem: DataflowProblem, max_iterations: int = 10_000) -> DataflowResult:
     """Run the worklist algorithm to a fixpoint.
 
-    Deterministic: blocks are processed in reverse postorder (forward)
-    or postorder (backward), and the worklist is kept sorted by that
-    priority.
+    Deterministic: blocks are processed in reverse postorder, and the
+    worklist is kept sorted by that priority.
     """
     result = DataflowResult(problem=problem, cfg=cfg)
     if not cfg.blocks:
         return result
 
-    forward = problem.direction is Direction.FORWARD
-    order = _rpo(cfg)
-    if not forward:
-        order = list(reversed(order))
-    priority = {b: i for i, b in enumerate(order)}
+    priority = {b: i for i, b in enumerate(_rpo(cfg))}
 
-    def edges_in(idx: int) -> list[int]:
-        block = cfg.blocks[idx]
-        return block.preds if forward else block.succs
-
-    # boundary blocks: no incoming edges in the flow direction
+    # boundary blocks: no predecessors
     boundary_fact = problem.boundary()
     for b in cfg.blocks:
         result.in_facts[b.index] = problem.top()
     for b in cfg.blocks:
-        if not edges_in(b.index):
+        if not b.preds:
             result.in_facts[b.index] = boundary_fact
     for b in cfg.blocks:
         result.out_facts[b.index] = problem.transfer_block(b, result.in_facts[b.index])
@@ -172,7 +132,7 @@ def solve(cfg: CFG, problem: DataflowProblem, max_iterations: int = 10_000) -> D
             raise RuntimeError("dataflow solver failed to converge")
         idx = min(pending, key=priority.__getitem__)
         pending.discard(idx)
-        sources = edges_in(idx)
+        sources = cfg.blocks[idx].preds
         if sources:
             fact = result.out_facts[sources[0]]
             for s in sources[1:]:
@@ -183,9 +143,7 @@ def solve(cfg: CFG, problem: DataflowProblem, max_iterations: int = 10_000) -> D
         if fact != result.in_facts[idx] or out != result.out_facts[idx]:
             result.in_facts[idx] = fact
             result.out_facts[idx] = out
-            block = cfg.blocks[idx]
-            for nxt in block.succs if forward else block.preds:
-                pending.add(nxt)
+            pending.update(cfg.blocks[idx].succs)
     return result
 
 
@@ -205,8 +163,6 @@ class ReachingDefinitions(DataflowProblem):
     Facts are frozensets of ``(reg_id, def_uid)`` pairs; ``def_uid`` is
     :data:`ENTRY_DEF` for values flowing in at function entry.
     """
-
-    direction = Direction.FORWARD
 
     def __init__(self, cfg: CFG, param_regs: Optional[list] = None) -> None:
         self.cfg = cfg
@@ -228,100 +184,3 @@ class ReachingDefinitions(DataflowProblem):
         """UIDs of the definitions of register ``rid`` in ``fact``."""
         return {uid for r, uid in fact if r == rid}
 
-
-class Liveness(DataflowProblem):
-    """Which pseudo registers are live (backward union problem)."""
-
-    direction = Direction.BACKWARD
-
-    def __init__(self, cfg: CFG, live_out: Optional[list] = None) -> None:
-        self.cfg = cfg
-        self._exit = frozenset(r.rid for r in live_out or [])
-
-    def boundary(self) -> frozenset:
-        return self._exit
-
-    def transfer_insn(self, insn: Insn, fact: frozenset) -> frozenset:
-        if insn.dst is not None:
-            fact = fact - {insn.dst.rid}
-        uses = {r.rid for r in insn.src_regs()}
-        return fact | uses
-
-
-class AvailableLoads(DataflowProblem):
-    """Which resolved memory locations hold an already-loaded value.
-
-    Facts are frozensets of ``(symbol, offset, width)`` triples.  A load
-    or store of a statically resolved address generates its location; a
-    store kills overlapping (or unresolvable) locations; a call kills
-    everything.  ``resolve`` maps an instruction to its resolved
-    ``(symbol, offset)`` or ``None`` — by default only direct
-    ``known_symbol`` addresses resolve, but the dependence oracle passes
-    its reaching-definitions-based resolver here.
-    """
-
-    direction = Direction.FORWARD
-
-    def __init__(
-        self,
-        cfg: CFG,
-        universe: Optional[frozenset] = None,
-        resolve: Optional[Callable[[Insn], Optional[tuple[str, int]]]] = None,
-    ) -> None:
-        self.cfg = cfg
-        self.resolve = resolve or self._static_resolve
-        if universe is None:
-            locs = set()
-            for block in cfg.blocks:
-                for insn in block.insns:
-                    loc = self._loc(insn)
-                    if loc is not None:
-                        locs.add(loc)
-            universe = frozenset(locs)
-        self.universe = universe
-
-    @staticmethod
-    def _static_resolve(insn: Insn) -> Optional[tuple[str, int]]:
-        if insn.mem is not None and insn.mem.known_symbol is not None:
-            if insn.mem.known_offset is None:
-                return None
-            return insn.mem.known_symbol, insn.mem.known_offset
-        return None
-
-    def _loc(self, insn: Insn) -> Optional[tuple[str, int, int]]:
-        if insn.mem is None:
-            return None
-        resolved = self.resolve(insn)
-        if resolved is None:
-            return None
-        sym, off = resolved
-        return sym, off, insn.mem.width
-
-    def top(self) -> frozenset:
-        return self.universe
-
-    def boundary(self) -> frozenset:
-        return frozenset()
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def transfer_insn(self, insn: Insn, fact: frozenset) -> frozenset:
-        if insn.op is Opcode.CALL:
-            return frozenset()
-        if insn.mem is None:
-            return fact
-        loc = self._loc(insn)
-        if insn.mem.is_store:
-            if loc is None:
-                return frozenset()  # unresolved store may clobber anything
-            sym, off, width = loc
-            survivors = frozenset(
-                (s, o, w)
-                for s, o, w in fact
-                if s != sym or o + w <= off or off + width <= o
-            )
-            return survivors | {loc}
-        if loc is None:
-            return fact
-        return fact | {loc}

@@ -29,7 +29,7 @@ from typing import Optional
 from ..backend.rtl import Insn, Opcode, RTLFunction
 from ..hli.query import CallAcc, EquivAcc, HLIQuery
 from ..hli.tables import DepType, HLIEntry, ItemType, RegionEntry
-from .oracle import CallEffectOracle, DependenceOracle, DepVerdict
+from .oracle import CallEffectOracle, DepVerdict
 from .rules import (
     Diagnostic,
     HLI001_UNSOUND_NODEP,

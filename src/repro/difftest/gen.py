@@ -30,7 +30,7 @@ Every generated program is, by construction:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["GenConfig", "ProgramGen", "generate", "generate_units"]

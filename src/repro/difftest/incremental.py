@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..backend.rtl import Reg, RTLFunction, RTLProgram
-from ..driver.compile import Compilation, CompileOptions, compile_source
+from ..driver.compile import CompileOptions, compile_source
 from ..driver.session import CompilationSession
 from ..frontend import parse_and_check
 from ..frontend.interp import interpret

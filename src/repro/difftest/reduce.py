@@ -26,7 +26,7 @@ comment carrying the seed, the failure list, and the reduction ratio.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 

@@ -1,11 +1,9 @@
 """End-to-end compilation driver (the pipeline of paper Figure 3).
 
-``compile_source`` is a thin wrapper over the pass manager: it assembles
-a pipeline — ``CompileOptions.pipeline`` when given, otherwise derived
-from the option flags — and runs it via
-:class:`repro.backend.pm.PassManager`, which enforces each pass's
-declared inputs/outputs/invalidations (see
-:mod:`repro.driver.passes`).  The result object carries every
+``compile_source`` runs the fixed pass sequence of
+:mod:`repro.driver.passes` (parse → HLI build → lower → map →
+unroll/cse/licm → schedule → lint), with the :class:`CompileOptions`
+flags choosing which passes run.  The result object carries every
 intermediate artifact so tests, examples, and benchmark harnesses can
 inspect any stage.
 
@@ -27,13 +25,13 @@ if TYPE_CHECKING:  # avoid load-time cycles with repro.checker / backend.passes
 from ..analysis.builder import FrontEndInfo
 from ..backend.ddg import DDGMode, DepStats
 from ..backend.mapping import MapStats
-from ..backend.pm import PipelineStats
 from ..backend.rtl import RTLProgram
 from ..hli.query import HLIQuery
 from ..hli.tables import HLIFile
 from ..machine.latencies import r4600_latency
 from ..obs import enabled_scope
 from ..obs import trace as _trace
+from .passes import PassContext, PipelineStats, run_pipeline
 
 
 @dataclass
@@ -58,11 +56,6 @@ class CompileOptions:
     #: enable the :mod:`repro.obs` tracing/metrics subsystem for the
     #: duration of this compile (no-op if it is already enabled)
     trace: bool = False
-    #: explicit pass sequence (see ``repro.driver.passes.KNOWN_PASSES``);
-    #: ``None`` derives the pipeline from the flags above.  When set, the
-    #: listed passes run unconditionally — the pipeline is data, the
-    #: boolean flags above are just sugar for the default pipeline.
-    pipeline: Optional[tuple[str, ...]] = None
 
 
 @dataclass
@@ -82,7 +75,7 @@ class Compilation:
     opt_stats: Optional["OptStats"] = None
     #: populated when :attr:`CompileOptions.lint` is set
     lint_report: Optional["LintReport"] = None
-    #: what the pass manager actually ran (pass order, query rebuilds)
+    #: what the pipeline actually ran (pass order, query rebuilds)
     pipeline_stats: Optional[PipelineStats] = None
     #: how the cache served this compile: ``"cold"`` (fully compiled),
     #: ``"memory"``/``"disk"`` (whole-file manifest hit from that tier),
@@ -125,8 +118,6 @@ def compile_source(
     instead of parsing and running points-to again.  Nothing checks that
     it came from ``source``; passing another unit's analysis is a bug.
     """
-    from .passes import PassContext, run_pipeline
-
     opts = options or CompileOptions()
     with enabled_scope(opts.trace):
         with _trace.span("driver.compile", file=filename, mode=opts.mode.value):

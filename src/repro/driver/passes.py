@@ -1,65 +1,84 @@
-"""The concrete compilation pipeline as pass-manager data.
+"""The compilation pipeline: one fixed order, the options pick the passes.
 
-Every stage of the paper's Figure 3 pipeline — parse, HLI construction,
-lowering, HLI import/mapping, the optimization passes, scheduling, and
-the ``hli-lint`` audit — is a :class:`repro.backend.pm.Pass` with
-declared inputs/outputs/invalidations.  ``driver.compile.compile_source``
-is a thin wrapper that assembles a pipeline (``CompileOptions.pipeline``
-when given, otherwise :func:`default_pipeline` derived from the option
-flags) and hands it to the :class:`~repro.backend.pm.PassManager`.
+Every stage of the paper's Figure 3 pipeline runs here, always in this
+order:
 
-Artifact names
---------------
-``ast``       parsed+checked program (``ctx.program``/``ctx.table``; a
-              caller that already holds it sets them, and the ``parse``
-              pass is skipped)
-``hli``       the HLI file (``comp.hli``) + front-end info (``comp.frontend``)
-``rtl``       lowered RTL (``comp.rtl``)
-``mapping``   per-insn HLI item annotations + ``comp.map_stats``
-``queries``   fresh ``HLIQuery`` indices per unit (``comp.queries``)
-``opt_stats`` ``comp.opt_stats``
-``dep_stats`` scheduling statistics (``comp.dep_stats``)
-``lint``      ``comp.lint_report``
+* front end: ``parse`` → ``hli-build`` → ``lower``.  ``parse`` is
+  skipped when the context already holds the checked program (the
+  whole-program driver's phase 1 parsed it);
+* back end, per function: ``map``, then ``unroll`` (when
+  ``CompileOptions.unroll > 1``), ``cse``, ``licm`` and ``schedule`` as
+  the option flags ask;
+* the whole-file ``hli-lint`` audit (``lint``) last.
 
-The old ``backend/passes.run_optimizations`` rebuilt every ``HLIQuery``
-by hand after the table-mutating passes; here the mutating passes
-declare ``invalidates=("queries",)`` and the manager rebuilds lazily,
-exactly when a later pass requires fresh indices (the ``"queries"``
-rebuilder below).  In GCC mode the optimization passes consume no HLI at
-all, so their pipeline instances declare no query requirement and no
-invalidation — the mode changes the *data*, not the code.
+``driver.compile.compile_source`` runs all of it (:func:`run_pipeline`).
+A :class:`~repro.driver.session.CompilationSession` serves the front end
+from its cache and runs :func:`run_backend` over the functions that no
+back-end blob restored.
+
+Query indices
+-------------
+The passes that mutate the HLI tables leave the per-function
+``HLIQuery`` indices (``comp.queries``) stale: ``cse`` and ``licm`` in
+every mode, since they maintain the tables whenever they delete
+instructions, and ``unroll`` only outside GCC mode, since without a query
+it is a no-op.  The indices are rebuilt once, right before the next pass
+that reads them: ``schedule``, ``lint`` and, outside GCC mode, the three
+optimizers.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..analysis.builder import build_hli
+from ..backend.cse import run_cse
 from ..backend.ddg import DDGMode
+from ..backend.licm import run_licm
 from ..backend.lowering import lower_program
 from ..backend.mapping import map_function
-from ..backend.pm import Pass, PassManager, PipelineError
+from ..backend.passes import OptStats
 from ..backend.scheduler import schedule_function
+from ..backend.unroll import run_unroll
 from ..frontend import parse_and_check
 from ..hli.query import HLIQuery
+from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 
 if TYPE_CHECKING:  # no runtime import: driver.compile imports this module
     from ..analysis.alias import PointsToResult
-    from ..backend.passes import OptStats
     from ..frontend import ast_nodes as ast
     from ..frontend.symbols import SymbolTable
     from .compile import Compilation, CompileOptions
 
 __all__ = [
+    "FRONTEND_FINGERPRINT",
+    "FRONTEND_PASSES",
     "PassContext",
-    "build_pipeline",
-    "default_pipeline",
-    "rebuild_queries",
+    "PipelineStats",
+    "backend_fingerprint",
+    "run_backend",
     "run_pipeline",
-    "KNOWN_PASSES",
 ]
+
+
+@dataclass
+class PipelineStats:
+    """What one compile's pipeline actually did (for tests and obs)."""
+
+    #: pass names in execution order
+    passes_run: list[str] = field(default_factory=list)
+    #: artifact name -> number of automatic rebuilds triggered
+    rebuilds: dict[str, int] = field(default_factory=dict)
+    #: names of front-end passes skipped because a cache supplied their
+    #: artifacts (set by the CompilationSession)
+    cached_prefix: tuple[str, ...] = ()
+    #: per-function pass name -> the units it actually ran over; on an
+    #: incremental recompile this is the invalidated set, not the file
+    function_runs: dict[str, list[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -68,10 +87,11 @@ class PassContext:
 
     comp: "Compilation"
     opts: "CompileOptions"
-    #: transient front-end state (never cached; only ``ast`` consumers use
-    #: it).  Set on entry when the caller already parsed the source (the
-    #: whole-program driver's phase 1): the ``parse`` pass is then skipped
-    #: and ``hli-build`` reuses ``pts`` instead of re-running points-to.
+    #: transient front-end state (never cached; only ``hli-build`` and
+    #: ``lower`` read it).  Set on entry when the caller already parsed
+    #: the source (the whole-program driver's phase 1): ``parse`` is then
+    #: skipped and ``hli-build`` reuses ``pts`` instead of re-running
+    #: points-to.
     program: Optional["ast.Program"] = None
     table: Optional["SymbolTable"] = None
     pts: Optional["PointsToResult"] = None
@@ -81,7 +101,7 @@ class PassContext:
     active_units: Optional[list[str]] = None
     #: per-function optimization-stats fragments (what the back-end
     #: artifact cache stores, so spliced functions restore their share)
-    fn_opt_stats: dict[str, "OptStats"] = field(default_factory=dict)
+    fn_opt_stats: dict[str, OptStats] = field(default_factory=dict)
 
     def units(self) -> list[str]:
         """The units per-function passes should visit, in program order."""
@@ -122,59 +142,29 @@ def _map(ctx: PassContext, unit: str) -> None:
         comp.queries[unit] = HLIQuery(entry)
 
 
-def _ensure_opt_stats(ctx: PassContext):
-    if ctx.comp.opt_stats is None:
-        from ..backend.passes import OptStats
+def _optimize(name: str, ctx: PassContext, unit: str) -> None:
+    """Run optimizer ``name`` (``unroll``, ``cse`` or ``licm``) on one
+    function, adding its statistics to the file's and the function's.
 
-        ctx.comp.opt_stats = OptStats()
-    return ctx.comp.opt_stats
-
-
-def _fn_opt_stats(ctx: PassContext, unit: str):
-    stats = ctx.fn_opt_stats.get(unit)
-    if stats is None:
-        from ..backend.passes import OptStats
-
-        stats = ctx.fn_opt_stats[unit] = OptStats()
-    return stats
-
-
-def _unroll(ctx: PassContext, unit: str) -> None:
-    from ..backend.unroll import run_unroll
-
-    stats = _ensure_opt_stats(ctx)
+    GCC mode consumes no HLI, so the optimizers get no query; unroll is
+    guided by the region header's trip/step and is then (correctly) a
+    no-op.
+    """
+    comp = ctx.comp
     use_hli = ctx.opts.mode is not DDGMode.GCC
-    # GCC mode consumes no HLI: unrolling is guided by the region
-    # header's trip/step, so without a query it is (correctly) a no-op.
-    query = ctx.comp.queries.get(unit) if use_hli else None
-    entry = ctx.comp.hli.entries.get(unit)
-    s = run_unroll(ctx.comp.rtl.functions[unit], ctx.opts.unroll, query=query, entry=entry)
-    stats.unroll.merge(s)
-    _fn_opt_stats(ctx, unit).unroll.merge(s)
-
-
-def _cse(ctx: PassContext, unit: str) -> None:
-    from ..backend.cse import run_cse
-
-    stats = _ensure_opt_stats(ctx)
-    use_hli = ctx.opts.mode is not DDGMode.GCC
-    query = ctx.comp.queries.get(unit) if use_hli else None
-    entry = ctx.comp.hli.entries.get(unit)
-    s = run_cse(ctx.comp.rtl.functions[unit], use_hli=use_hli, query=query, entry=entry)
-    stats.cse.merge(s)
-    _fn_opt_stats(ctx, unit).cse.merge(s)
-
-
-def _licm(ctx: PassContext, unit: str) -> None:
-    from ..backend.licm import run_licm
-
-    stats = _ensure_opt_stats(ctx)
-    use_hli = ctx.opts.mode is not DDGMode.GCC
-    query = ctx.comp.queries.get(unit) if use_hli else None
-    entry = ctx.comp.hli.entries.get(unit)
-    s = run_licm(ctx.comp.rtl.functions[unit], use_hli=use_hli, query=query, entry=entry)
-    stats.licm.merge(s)
-    _fn_opt_stats(ctx, unit).licm.merge(s)
+    query = comp.queries.get(unit) if use_hli else None
+    entry = comp.hli.entries.get(unit)
+    fn = comp.rtl.functions[unit]
+    if name == "unroll":
+        s = run_unroll(fn, ctx.opts.unroll, query=query, entry=entry)
+    else:
+        run = run_cse if name == "cse" else run_licm
+        s = run(fn, use_hli=use_hli, query=query, entry=entry)
+    if comp.opt_stats is None:
+        comp.opt_stats = OptStats()
+    fragment = ctx.fn_opt_stats.setdefault(unit, OptStats())
+    for stats in (comp.opt_stats, fragment):
+        getattr(stats, name).merge(s)
 
 
 def _schedule(ctx: PassContext, unit: str) -> None:
@@ -194,108 +184,35 @@ def _lint(ctx: PassContext) -> None:
     ctx.comp.lint_report = lint_compilation(ctx.comp)
 
 
-def rebuild_queries(ctx: PassContext) -> None:
-    """The ``"queries"`` artifact rebuilder: fresh indices per unit.
-
-    Called by the pass manager when a pass that declared
-    ``invalidates=("queries",)`` ran and a later pass requires them —
-    the centrally enforced version of the manual rebuild the old
-    ``run_optimizations`` carried.  Only the *active* units rebuild: on
-    an incremental recompile, untouched functions' indices are already
-    consistent with their (unmutated) cached tables.
-    """
-    comp = ctx.comp
-    for name in ctx.units():
-        entry = comp.hli.entries.get(name)
-        if entry is not None:
-            comp.queries[name] = HLIQuery(entry)
-
-
-# -- pass registry ------------------------------------------------------------
-
-# Front-end prefix: depends only on (source, filename); cacheable.
-_PARSE = Pass("parse", _parse, provides=("ast",), frontend=True)
-_HLI_BUILD = Pass(
-    "hli-build", _build_hli, requires=("ast",), provides=("hli",), frontend=True
-)
-_LOWER = Pass("lower", _lower, requires=("ast",), provides=("rtl",), frontend=True)
-
-_MAP = Pass(
-    "map",
-    _map,
-    requires=("hli", "rtl"),
-    provides=("mapping", "queries"),
-    per_function=True,
-)
-_SCHEDULE = Pass(
-    "schedule",
-    _schedule,
-    requires=("rtl", "queries"),
-    provides=("dep_stats",),
-    per_function=True,
-)
-_LINT = Pass(
-    "lint", _lint, requires=("hli", "rtl", "mapping", "queries"), provides=("lint",)
-)
-
-
-def _opt_pass(
-    name: str,
-    action: Callable,
-    opts: "CompileOptions",
-    mutates_without_hli: bool = True,
-) -> Pass:
-    """Instantiate an optimization pass for the current dependence mode.
-
-    In HLI-consuming modes the pass reads ``queries`` and mutates the
-    HLI tables, so it both requires and invalidates the query indices.
-    In GCC mode no query is consulted, but cse/licm still *maintain* the
-    tables when they delete instructions (maintenance is
-    mode-independent), so they keep the invalidation; unroll without a
-    query is a guaranteed no-op and declares none.
-    """
-    use_hli = opts.mode is not DDGMode.GCC
-    if use_hli:
-        return Pass(
-            name,
-            action,
-            requires=("rtl", "mapping", "queries"),
-            provides=("opt_stats",),
-            invalidates=("queries",),
-            per_function=True,
-        )
-    return Pass(
-        name,
-        action,
-        requires=("rtl", "mapping"),
-        provides=("opt_stats",),
-        invalidates=("queries",) if mutates_without_hli else (),
-        per_function=True,
-    )
-
-
-#: name -> factory(opts) for every pass the pipeline language knows.
-_REGISTRY: dict[str, Callable[["CompileOptions"], Pass]] = {
-    "parse": lambda opts: _PARSE,
-    "hli-build": lambda opts: _HLI_BUILD,
-    "lower": lambda opts: _LOWER,
-    "map": lambda opts: _MAP,
-    "unroll": lambda opts: _opt_pass(
-        "unroll", _unroll, opts, mutates_without_hli=False
-    ),
-    "cse": lambda opts: _opt_pass("cse", _cse, opts),
-    "licm": lambda opts: _opt_pass("licm", _licm, opts),
-    "schedule": lambda opts: _SCHEDULE,
-    "lint": lambda opts: _LINT,
+#: whole-file passes take ``(ctx)``; per-function ones ``(ctx, unit)``
+_FILE_PASSES = {"parse": _parse, "hli-build": _build_hli, "lower": _lower, "lint": _lint}
+_FUNCTION_PASSES = {
+    "map": _map,
+    "unroll": partial(_optimize, "unroll"),
+    "cse": partial(_optimize, "cse"),
+    "licm": partial(_optimize, "licm"),
+    "schedule": _schedule,
 }
 
-#: Every pass name the pipeline language accepts, in canonical order.
-KNOWN_PASSES: tuple[str, ...] = tuple(_REGISTRY)
+#: the front-end passes, whose output depends only on (source, filename)
+FRONTEND_PASSES: tuple[str, ...] = ("parse", "hli-build", "lower")
 
 
-def default_pipeline(opts: "CompileOptions") -> tuple[str, ...]:
-    """Derive the pass sequence from the option flags (pipelines are data)."""
-    names = ["parse", "hli-build", "lower", "map"]
+def _fingerprint(passes: Iterable[str]) -> str:
+    """Cache-key part naming a pass sequence (each pass at version 1)."""
+    joined = "|".join(f"{name}@1" for name in passes)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+
+
+#: Folded into every front-end cache key.  It names the passes, not
+#: their code: a change to a front-end pass's output must bump
+#: ``session.CACHE_VERSION`` to retire the entries it made stale.
+FRONTEND_FINGERPRINT = _fingerprint(FRONTEND_PASSES)
+
+
+def _backend_passes(opts: "CompileOptions") -> list[str]:
+    """The back-end passes ``opts`` turns on, in pipeline order."""
+    names = ["map"]
     if opts.unroll > 1:
         names.append("unroll")
     if opts.cse:
@@ -306,42 +223,58 @@ def default_pipeline(opts: "CompileOptions") -> tuple[str, ...]:
         names.append("schedule")
     if opts.lint:
         names.append("lint")
-    return tuple(names)
+    return names
 
 
-def build_pipeline(opts: "CompileOptions") -> list[Pass]:
-    """Resolve ``opts.pipeline`` (or the derived default) to pass objects."""
-    names = opts.pipeline if opts.pipeline is not None else default_pipeline(opts)
-    passes: list[Pass] = []
-    for name in names:
-        factory = _REGISTRY.get(name)
-        if factory is None:
-            raise PipelineError(
-                f"unknown pass '{name}'; known passes: {', '.join(KNOWN_PASSES)}"
-            )
-        passes.append(factory(opts))
-    return passes
+def backend_fingerprint(opts: "CompileOptions") -> str:
+    """Cache-key part naming the per-function passes ``opts`` turns on
+    (``lint`` leaves no per-function artifact, so it is left out)."""
+    return _fingerprint(p for p in _backend_passes(opts) if p in _FUNCTION_PASSES)
 
 
-def make_manager(passes) -> PassManager:
-    """A PassManager wired with the driver's rebuilders + units provider."""
-    return PassManager(
-        passes,
-        rebuilders={"queries": rebuild_queries},
-        units=lambda ctx: ctx.units(),
-    )
+def _run(ctx: PassContext, stats: PipelineStats, name: str) -> None:
+    """Run one pass (per-function passes over ``ctx.units()``)."""
+    if name in _FILE_PASSES:
+        with _trace.span("pm.pass", **{"pass": name}):
+            _FILE_PASSES[name](ctx)
+    else:
+        units = ctx.units()
+        with _trace.span("pm.pass", **{"pass": name, "units": len(units)}):
+            for unit in units:
+                _FUNCTION_PASSES[name](ctx, unit)
+        stats.function_runs[name] = units
+    _metrics.inc("pm.pass", name)
+    stats.passes_run.append(name)
+
+
+def run_backend(ctx: PassContext, stats: PipelineStats) -> None:
+    """Run the back-end passes ``ctx.opts`` turns on, rebuilding the query
+    indices of ``ctx.units()`` before a pass that reads stale ones."""
+    use_hli = ctx.opts.mode is not DDGMode.GCC
+    stale = False
+    for name in _backend_passes(ctx.opts):
+        reads_queries = name in ("schedule", "lint") or (
+            use_hli and name in ("unroll", "cse", "licm")
+        )
+        if stale and reads_queries:
+            with _trace.span("pm.rebuild", artifact="queries", before=name):
+                comp = ctx.comp
+                for unit in ctx.units():
+                    entry = comp.hli.entries.get(unit)
+                    if entry is not None:
+                        comp.queries[unit] = HLIQuery(entry)
+            stats.rebuilds["queries"] = stats.rebuilds.get("queries", 0) + 1
+            _metrics.inc("pm.rebuild", "queries")
+            stale = False
+        _run(ctx, stats, name)
+        stale = stale or name in ("cse", "licm") or (use_hli and name == "unroll")
 
 
 def run_pipeline(ctx: PassContext) -> None:
-    """Assemble and run the full pipeline for ``ctx`` (cold compile).
-
-    A context that already holds the checked program starts with the
-    ``ast`` artifact valid and skips the ``parse`` pass.
-    """
-    passes = build_pipeline(ctx.opts)
-    initial: tuple[str, ...] = ()
-    if ctx.program is not None:
-        passes = [p for p in passes if p is not _PARSE]
-        initial = ("ast",)
-    manager = make_manager(passes)
-    ctx.comp.pipeline_stats = manager.run(ctx, initial=initial)
+    """Run the whole pipeline for ``ctx`` (a cold, uncached compile)."""
+    stats = PipelineStats()
+    for name in FRONTEND_PASSES:
+        if name != "parse" or ctx.program is None:
+            _run(ctx, stats, name)
+    run_backend(ctx, stats)
+    ctx.comp.pipeline_stats = stats

@@ -87,13 +87,6 @@ from ..analysis.builder import FrontEndInfo
 from ..backend.ddg import DepStats
 from ..backend.lowering import lower_program
 from ..backend.mapping import MapStats
-from ..backend.pm import (
-    Pass,
-    PipelineStats,
-    frontend_fingerprint,
-    pipeline_fingerprint,
-    split_frontend,
-)
 from ..backend.rtl import RTLFunction, RTLProgram
 from ..hli.binio import decode_entry, encode_entry
 from ..hli.query import HLIQuery
@@ -102,7 +95,14 @@ from ..obs import enabled_scope
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .compile import Compilation, CompileOptions
-from .passes import PassContext, build_pipeline, make_manager
+from .passes import (
+    FRONTEND_FINGERPRINT,
+    FRONTEND_PASSES,
+    PassContext,
+    PipelineStats,
+    backend_fingerprint,
+    run_backend,
+)
 from .store import ArtifactStore
 
 if TYPE_CHECKING:
@@ -252,25 +252,22 @@ _COUNTERS = {
 # -- content-addressed keys ----------------------------------------------------
 
 
-def cache_key(
-    source: str, filename: str, passes: Sequence[Pass], salt: str = ""
-) -> str:
+def cache_key(source: str, filename: str, salt: str = "") -> str:
     """Manifest key = hash of source + filename + front-end fingerprint.
 
     Back-end knobs (dependence mode, latency table, optimization flags)
     are deliberately absent: the front-end artifacts do not depend on
     them, which is exactly what lets ``timing``'s gcc-vs-hli double
-    compile share one parse.  Bumping any front-end pass's ``version``
-    changes the fingerprint and retires stale entries automatically —
-    and so does any change to the binfmt schema, whose fingerprint is
-    folded in here.
+    compile share one parse.  Bumping :data:`CACHE_VERSION` retires
+    stale entries — and so does any change to the binfmt schema, whose
+    fingerprint is folded in here.
 
     ``salt`` folds external state the source cannot express into the
     key — the whole-program driver passes a fingerprint of the linked
     cross-module summaries, so per-file and whole-program artifacts for
     the same source never collide (and relinking retires stale entries).
     """
-    return _digest(b"repro-hli-cache", frontend_fingerprint(passes), salt, filename, source)
+    return _digest(b"repro-hli-cache", FRONTEND_FINGERPRINT, salt, filename, source)
 
 
 def _digest(tag: bytes, *parts: str) -> str:
@@ -286,36 +283,29 @@ def _digest(tag: bytes, *parts: str) -> str:
     return h.hexdigest()
 
 
-def _fe_salt(prefix: Sequence[Pass], filename: str, salt: str = "") -> str:
+def _fe_salt(filename: str, salt: str = "") -> str:
     """Function-independent part of every per-function front-end key."""
     return (
         f"{CACHE_VERSION}:{_binfmt.fingerprint()}:"
-        f"{pipeline_fingerprint(prefix)}:{filename}:{salt}"
+        f"{FRONTEND_FINGERPRINT}:{filename}:{salt}"
     )
 
 
-def _be_key(fe_key: str, opts: CompileOptions, backend_fp: str) -> str:
+def _be_key(fe_key: str, opts: CompileOptions) -> str:
     """Back-end key: front-end key + every knob the back end reads.
 
-    ``backend_fp`` fingerprints the per-function suffix passes (file-only
-    passes like ``lint`` excluded — they produce no per-function
-    artifact, so toggling them must not duplicate entries).
+    The per-function passes the options turn on are folded in; ``lint``
+    is not (it produces no per-function artifact, so toggling it must
+    not duplicate entries).
     """
     return _digest(
         b"repro-fn-be",
         fe_key,
-        backend_fp,
+        backend_fingerprint(opts),
         opts.mode.value,
         str(opts.unroll),
         getattr(opts.latency, "__name__", repr(opts.latency)),
     )
-
-
-def _backend_fp(suffix: Sequence[Pass]) -> Optional[str]:
-    """Fingerprint of the per-function suffix passes; ``None`` when none
-    runs, and then the session reads and writes no be blobs."""
-    per_function = [p for p in suffix if p.per_function]
-    return pipeline_fingerprint(per_function) if per_function else None
 
 
 # -- blob framing / verified decode -------------------------------------------
@@ -678,20 +668,18 @@ class CompilationSession:
                 self._count("corrupt")
         return None, ""
 
-    def _fetch_function(self, fe_key: str, opts: CompileOptions, backend_fp: Optional[str]):
-        """Verified read of one function's be blob (when the pipeline has
-        per-function passes, ``backend_fp``), else of its fe blob.
+    def _fetch_function(self, fe_key: str, opts: CompileOptions):
+        """Verified read of one function's be blob, else of its fe blob.
 
         Returns ``(fn_cache_states entry, decoded)``, ``decoded`` starting
         ``(fn_rtl, entry)``, or ``None``.  Counts hits and be misses; an
         fe miss is the caller's to count.
         """
-        if backend_fp is not None:
-            decoded, tier = self._fetch(_be_key(fe_key, opts, backend_fp), _decode_fn_be)
-            if decoded is not None:
-                self._count("be_hit", tier)
-                return f"be:{tier}", decoded
-            self._count("be_miss")
+        decoded, tier = self._fetch(_be_key(fe_key, opts), _decode_fn_be)
+        if decoded is not None:
+            self._count("be_hit", tier)
+            return f"be:{tier}", decoded
+        self._count("be_miss")
         decoded, tier = self._fetch(fe_key, _decode_fn_fe)
         if decoded is None:
             return None
@@ -726,16 +714,7 @@ class CompilationSession:
         (keys stay source-text based, so a hit never looks at it).
         """
         opts = options or CompileOptions()
-        passes = build_pipeline(opts)
-        prefix, suffix = split_frontend(passes)
-        if not prefix:  # nothing cacheable in this pipeline
-            from .compile import compile_source
-
-            return compile_source(
-                source, filename, opts, external_effects, analysis=analysis
-            )
-        key = cache_key(source, filename, passes, salt=extra_salt)
-        backend_fp = _backend_fp(suffix)
+        key = cache_key(source, filename, salt=extra_salt)
         with enabled_scope(opts.trace):
             with _trace.span(
                 "session.compile", file=filename, mode=opts.mode.value
@@ -750,8 +729,6 @@ class CompilationSession:
                         source,
                         filename,
                         opts,
-                        prefix,
-                        backend_fp,
                         external_effects,
                     )
                 if restored is None:
@@ -761,8 +738,6 @@ class CompilationSession:
                         source,
                         filename,
                         opts,
-                        prefix,
-                        backend_fp,
                         external_effects=external_effects,
                         extra_salt=extra_salt,
                         analysis=analysis,
@@ -775,10 +750,9 @@ class CompilationSession:
                 # the back end runs on every function not restored from a be blob
                 active = [n for n, state in fn_states.items() if not state.startswith("be:")]
                 ctx = PassContext(comp=comp, opts=opts, active_units=active)
-                initial = sorted({a for p in prefix for a in p.provides})
-                make_manager(suffix).run(ctx, initial=initial, stats=stats)
+                run_backend(ctx, stats)
                 comp.pipeline_stats = stats
-                self._store_backend(ctx, backend_fp, fe_keys)
+                self._store_backend(ctx, fe_keys)
                 span.set(cache=comp.cache_state)
                 return comp
 
@@ -790,8 +764,6 @@ class CompilationSession:
         source,
         filename,
         opts,
-        prefix,
-        backend_fp,
         external_effects,
     ):
         """Rebuild a compilation purely from cached blobs, or ``None``.
@@ -817,7 +789,7 @@ class CompilationSession:
         )
         fn_states: dict[str, str] = {}
         for name, fe_key in man.fe_keys.items():
-            got = self._fetch_function(fe_key, opts, backend_fp)
+            got = self._fetch_function(fe_key, opts)
             if got is None:
                 self.store.evict(key)
                 self._count("corrupt")
@@ -834,7 +806,7 @@ class CompilationSession:
             if fn_states[name].startswith("be:"):
                 self._install_be(comp, name, decoded)
         self._count("hit", tier)
-        stats = PipelineStats(cached_prefix=tuple(p.name for p in prefix))
+        stats = PipelineStats(cached_prefix=FRONTEND_PASSES)
         return comp, stats, dict(man.fe_keys), fn_states
 
     def _frontend_incremental(
@@ -843,8 +815,6 @@ class CompilationSession:
         source,
         filename,
         opts,
-        prefix,
-        backend_fp,
         external_effects=None,
         extra_salt="",
         analysis: Optional["UnitAnalysis"] = None,
@@ -886,7 +856,7 @@ class CompilationSession:
             table,
             builder.pts,
             builder.refmod,
-            salt=_fe_salt(prefix, filename, extra_salt),
+            salt=_fe_salt(filename, extra_salt),
         )
         hli = HLIFile(source_filename=program.filename)
         cached_rtl: dict[str, RTLFunction] = {}
@@ -895,7 +865,7 @@ class CompilationSession:
         fresh: list[str] = []
         with _trace.span("analysis.build_hli", file=filename):
             for fn in program.functions:
-                got = self._fetch_function(keys.fe[fn.name], opts, backend_fp)
+                got = self._fetch_function(keys.fe[fn.name], opts)
                 if got is None:
                     self._count("fn_miss")
                     entry, _unit = builder.build_unit(fn)
@@ -946,14 +916,9 @@ class CompilationSession:
             comp.opt_stats.licm.merge(opt_frag.licm)
             comp.opt_stats.unroll.merge(opt_frag.unroll)
 
-    def _store_backend(
-        self,
-        ctx: PassContext,
-        backend_fp: Optional[str],
-        fe_keys: dict[str, str],
-    ) -> None:
+    def _store_backend(self, ctx: PassContext, fe_keys: dict[str, str]) -> None:
         """Store the finished back-end artifacts of every active unit."""
-        if backend_fp is None or not ctx.active_units:
+        if not ctx.active_units:
             return
         comp = ctx.comp
         with _trace.span("session.cache.store_backend") as span:
@@ -972,7 +937,7 @@ class CompilationSession:
                     ctx.fn_opt_stats.get(name),
                 )
                 self._bump("be_stores")
-                self.store.put(_be_key(fe_key, ctx.opts, backend_fp), blob)
+                self.store.put(_be_key(fe_key, ctx.opts), blob)
                 stored += 1
             span.set(stored=stored)
 
@@ -1019,13 +984,9 @@ class CompilationSession:
         manifest counts as present; :meth:`compile` evicts and rebuilds
         it.
         """
-        opts = job.options or CompileOptions()
-        passes = build_pipeline(opts)
-        prefix, _ = split_frontend(passes)
-        if not prefix:
-            return False
-        key = cache_key(job.source, job.filename, passes, salt=job.extra_salt)
-        return self.store.contains(key)
+        return self.store.contains(
+            cache_key(job.source, job.filename, salt=job.extra_salt)
+        )
 
     def compile_partitions(
         self,

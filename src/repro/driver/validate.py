@@ -20,7 +20,7 @@ from ..hli.sizes import size_report
 from ..machine.executor import execute
 from ..obs import export as obs_export
 from ..obs import trace as obs_trace
-from ..workloads.suite import BENCHMARKS, by_name, float_benchmarks, integer_benchmarks
+from ..workloads.suite import BENCHMARKS, by_name
 from .compile import CompileOptions
 from .session import CompilationSession, parallel_map
 from .timing import time_benchmark

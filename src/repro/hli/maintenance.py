@@ -33,7 +33,6 @@ from .tables import (
     AliasEntry,
     DepType,
     EqClass,
-    EquivType,
     HLIEntry,
     ItemType,
     LCDDEntry,

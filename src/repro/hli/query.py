@@ -34,7 +34,6 @@ from typing import Optional
 from ..obs import metrics as _metrics
 from . import faults as _faults
 from .tables import (
-    DepType,
     EquivType,
     HLIEntry,
     LCDDEntry,

@@ -8,9 +8,7 @@ when asked, so a back-end never holds the whole HLI in memory.
 
 from __future__ import annotations
 
-import io
 import os
-import struct
 
 from .binio import MAGIC, HLIFormatError, _Reader, _decode_entry, encode_hli
 from .tables import HLIEntry, HLIFile

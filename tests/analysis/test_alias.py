@@ -1,6 +1,6 @@
 """Points-to analysis tests."""
 
-from repro.analysis.alias import TOP, HeapObject, analyze_points_to
+from repro.analysis.alias import HeapObject, analyze_points_to
 from repro.frontend import parse_and_check
 from repro.frontend.symbols import Symbol
 

@@ -1,8 +1,7 @@
 """ITEMGEN tests: what generates items and in which canonical order."""
 
 from repro.analysis.builder import build_hli
-from repro.analysis.items import AccessKind, AccessRole, symbolic_ref, walk_stmt_accesses
-from repro.frontend import ast_nodes as ast
+from repro.analysis.items import AccessKind, AccessRole
 from repro.frontend import parse_and_check
 from repro.hli.tables import ItemType
 

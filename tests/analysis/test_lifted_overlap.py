@@ -7,8 +7,6 @@ induction variables existentially and independently per side.  These are
 the rules behind Figure 2's ``b[0]`` / ``b[0..9]`` alias entry.
 """
 
-import pytest
-
 from repro.analysis.builder import build_hli
 from repro.analysis.depend import (
     DepResult,

@@ -1,6 +1,6 @@
 """Interprocedural REF/MOD analysis tests."""
 
-from repro.analysis.alias import TOP, analyze_points_to
+from repro.analysis.alias import analyze_points_to
 from repro.analysis.refmod import analyze_refmod
 from repro.frontend import parse_and_check
 

@@ -1,7 +1,5 @@
 """CSE tests: value numbering, store invalidation, Figure 4 call behavior."""
 
-import pytest
-
 from repro import CompileOptions, compile_source
 from repro.backend.cse import run_cse
 from repro.backend.rtl import Opcode

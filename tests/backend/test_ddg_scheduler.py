@@ -1,6 +1,5 @@
 """DDG construction (Figure 5) and list-scheduler tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

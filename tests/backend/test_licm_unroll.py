@@ -5,7 +5,6 @@ import pytest
 from repro import CompileOptions, compile_source
 from repro.backend.cfg import build_cfg
 from repro.backend.licm import run_licm
-from repro.backend.rtl import Opcode
 from repro.backend.unroll import run_unroll
 from repro.hli.query import HLIQuery
 from repro.machine.executor import execute

@@ -6,7 +6,6 @@ from repro import CompileOptions, compile_source
 from repro.backend.lowering import lower_program
 from repro.backend.rtl import Opcode
 from repro.frontend import parse_and_check
-from repro.machine.executor import execute
 from repro.workloads.suite import BENCHMARKS
 
 

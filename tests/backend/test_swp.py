@@ -1,7 +1,5 @@
 """Software-pipelining MII analysis tests."""
 
-import pytest
-
 from repro import CompileOptions, compile_source
 from repro.backend.swp import _Edge, _positive_cycle, _rec_mii, analyze_loop_pipelining
 from repro.hli.query import HLIQuery

@@ -1,14 +1,8 @@
-"""Unit tests for the generic dataflow framework and its three instances."""
+"""Unit tests for the generic dataflow framework and reaching definitions."""
 
 from repro.backend.cfg import build_cfg
-from repro.backend.rtl import Insn, MemRef, Opcode, Reg, RTLFunction
-from repro.checker.dataflow import (
-    ENTRY_DEF,
-    AvailableLoads,
-    Liveness,
-    ReachingDefinitions,
-    solve,
-)
+from repro.backend.rtl import Insn, Opcode, Reg, RTLFunction
+from repro.checker.dataflow import ENTRY_DEF, ReachingDefinitions, solve
 
 
 def _reg(rid):
@@ -84,102 +78,6 @@ class TestReachingDefinitions:
         }
 
 
-class TestLiveness:
-    def test_branch_use_is_live_at_entry(self):
-        fn, _ = _diamond_fn()
-        cfg = build_cfg(fn)
-        res = solve(cfg, Liveness(cfg))
-        assert 1 in res.out_facts[0]  # r1 live into the entry block
-
-    def test_dead_def_not_live(self):
-        r = _reg(5)
-        fn = RTLFunction(
-            name="d", insns=[Insn(Opcode.LI, dst=r, imm=3), Insn(Opcode.RET)]
-        )
-        cfg = build_cfg(fn)
-        res = solve(cfg, Liveness(cfg))
-        assert 5 not in res.out_facts[0]
-
-
-class TestAvailableLoads:
-    def _mem(self, sym, off, store=False):
-        return Insn(
-            Opcode.STORE if store else Opcode.LOAD,
-            dst=None if store else _reg(9),
-            srcs=(_reg(9),) if store else (),
-            mem=MemRef(
-                addr=_reg(4),
-                width=4,
-                is_store=store,
-                known_symbol=sym,
-                known_offset=off,
-            ),
-        )
-
-    def test_load_becomes_available_until_killed(self):
-        l1 = self._mem("g", 0)
-        st = self._mem("g", 0, store=True)
-        l2 = self._mem("g", 0)
-        fn = RTLFunction(name="a", insns=[l1, st, l2, Insn(Opcode.RET)])
-        cfg = build_cfg(fn)
-        res = solve(cfg, AvailableLoads(cfg))
-        facts = dict(
-            (i.uid, f) for blk in cfg.blocks for i, f in res.insn_facts(blk)
-        )
-        assert ("g", 0, 4) not in facts[l1.uid]
-        assert ("g", 0, 4) in facts[st.uid]  # generated by the first load
-        assert ("g", 0, 4) in facts[l2.uid]  # store to same loc regenerates
-
-    def test_disjoint_store_does_not_kill(self):
-        l1 = self._mem("g", 0)
-        st = self._mem("g", 8, store=True)
-        l2 = self._mem("g", 0)
-        fn = RTLFunction(name="b", insns=[l1, st, l2, Insn(Opcode.RET)])
-        cfg = build_cfg(fn)
-        res = solve(cfg, AvailableLoads(cfg))
-        facts = dict(
-            (i.uid, f) for blk in cfg.blocks for i, f in res.insn_facts(blk)
-        )
-        assert ("g", 0, 4) in facts[l2.uid]
-
-    def test_call_kills_everything(self):
-        l1 = self._mem("g", 0)
-        call = Insn(Opcode.CALL, callee="ext")
-        l2 = self._mem("g", 0)
-        fn = RTLFunction(name="c", insns=[l1, call, l2, Insn(Opcode.RET)])
-        cfg = build_cfg(fn)
-        res = solve(cfg, AvailableLoads(cfg))
-        facts = dict(
-            (i.uid, f) for blk in cfg.blocks for i, f in res.insn_facts(blk)
-        )
-        assert facts[l2.uid] == frozenset()
-
-    def test_intersection_at_join(self):
-        # only the then-arm loads g+0: not available at the join
-        r1 = _reg(1)
-        l1 = self._mem("g", 0)
-        l_both = self._mem("h", 0)
-        insns = [
-            Insn(Opcode.BEQZ, srcs=(r1,), label="Le"),
-            l1,
-            Insn(Opcode.J, label="Lj"),
-            Insn(Opcode.LABEL, label="Le"),
-            l_both,
-            Insn(Opcode.LABEL, label="Lj"),
-            Insn(Opcode.RET),
-        ]
-        fn = RTLFunction(name="j", insns=insns, param_regs=[r1])
-        cfg = build_cfg(fn)
-        res = solve(cfg, AvailableLoads(cfg))
-        join = next(
-            b
-            for b in cfg.blocks
-            if any(i.op is Opcode.LABEL and i.label == "Lj" for i in b.insns)
-        )
-        assert ("g", 0, 4) not in res.in_facts[join.index]
-        assert ("h", 0, 4) not in res.in_facts[join.index]
-
-
 class TestEdgeCases:
     """Degenerate CFG shapes the worklist solver must handle exactly."""
 
@@ -193,7 +91,7 @@ class TestEdgeCases:
     def test_function_with_no_insns(self):
         fn = RTLFunction(name="empty", insns=[])
         cfg = build_cfg(fn)
-        res = solve(cfg, Liveness(cfg))
+        res = solve(cfg, ReachingDefinitions(cfg))
         assert all(f == frozenset() for f in res.out_facts.values())
 
     def test_unreachable_block_gets_boundary_fact(self):
@@ -266,17 +164,3 @@ class TestEdgeCases:
             body.uid,
         }
         assert res.iterations > len(cfg.blocks)
-
-    def test_liveness_through_self_loop(self):
-        r1, r2 = _reg(1), _reg(2)
-        insns = [
-            Insn(Opcode.LABEL, label="Lt"),
-            Insn(Opcode.ADD, dst=r2, srcs=(r2, r1)),
-            Insn(Opcode.BNEZ, srcs=(r2,), label="Lt"),
-            Insn(Opcode.RET),
-        ]
-        fn = RTLFunction(name="lv", insns=insns)
-        cfg = build_cfg(fn)
-        res = solve(cfg, Liveness(cfg))
-        # r1 is consumed every iteration but never defined: live at entry.
-        assert r1.rid in res.out_facts[0]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backend.ddg import DDGMode
 from repro.difftest.diff import build_matrix, run_differential
 from repro.difftest.gen import GenConfig, generate
 from repro.hli import faults

@@ -11,7 +11,6 @@ from repro import CompileOptions
 from repro.backend.ddg import DDGMode
 from repro.difftest.incremental import canonical_rtl
 from repro.driver import session as session_mod
-from repro.driver.passes import build_pipeline
 from repro.driver.session import (
     CompilationSession,
     CompileJob,
@@ -122,7 +121,7 @@ class TestCompileMany:
 
 
 def _manifest_key(job: CompileJob) -> str:
-    return cache_key(job.source, job.filename, build_pipeline(job.options))
+    return cache_key(job.source, job.filename)
 
 
 class TestWarmProbe:

@@ -1,14 +1,23 @@
-"""Pass-manager pipeline: ordering, validation, declared invalidation."""
+"""The fixed compile pipeline: pass order, query rebuilds, cache-key fingerprints."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro import CompileOptions, compile_source
+from repro import CompileOptions, binfmt, compile_source
+from repro.analysis.builder import HLIBuilder
 from repro.backend.ddg import DDGMode
 from repro.backend.passes import OptStats
-from repro.backend.pm import Pass, PassManager, PipelineError, split_frontend
-from repro.driver.passes import KNOWN_PASSES, default_pipeline
+from repro.driver.incremental import function_keys
+from repro.driver.session import (
+    CACHE_VERSION,
+    CompilationSession,
+    _decode_manifest,
+    _digest,
+)
+from repro.frontend import parse_and_check
 from tests.conftest import SIMPLE_MAIN
 
 
@@ -25,43 +34,15 @@ class TestPipelineOrdering:
             "unroll", "cse", "licm", "schedule",
         ]
 
-    def test_explicit_pipeline_is_data(self):
-        opts = CompileOptions(
-            pipeline=("parse", "hli-build", "lower", "map", "schedule")
-        )
-        comp = compile_source(SIMPLE_MAIN, "simple.c", opts)
-        assert comp.pipeline_stats.passes_run == list(opts.pipeline)
-        assert comp.dep_stats  # schedule ran
-
     def test_pipeline_without_schedule_skips_dep_stats(self):
-        opts = CompileOptions(pipeline=("parse", "hli-build", "lower", "map"))
-        comp = compile_source(SIMPLE_MAIN, "simple.c", opts)
+        comp = compile_source(SIMPLE_MAIN, "simple.c", CompileOptions(schedule=False))
+        assert comp.pipeline_stats.passes_run == ["parse", "hli-build", "lower", "map"]
         assert comp.dep_stats == {}
         assert comp.rtl is not None
 
-    def test_impossible_order_rejected_before_running(self):
-        # map requires rtl, which only lower provides
-        opts = CompileOptions(pipeline=("parse", "hli-build", "map", "lower"))
-        with pytest.raises(PipelineError, match="requires artifact 'rtl'"):
-            compile_source(SIMPLE_MAIN, "simple.c", opts)
-
-    def test_unknown_pass_name_is_a_clear_error(self):
-        opts = CompileOptions(pipeline=("parse", "frobnicate"))
-        with pytest.raises(PipelineError, match="unknown pass 'frobnicate'"):
-            compile_source(SIMPLE_MAIN, "simple.c", opts)
-
-    def test_duplicate_pass_rejected(self):
-        opts = CompileOptions(pipeline=("parse", "parse"))
-        with pytest.raises(PipelineError, match="duplicate pass"):
-            compile_source(SIMPLE_MAIN, "simple.c", opts)
-
-    def test_default_pipeline_uses_only_known_passes(self):
-        opts = CompileOptions(cse=True, licm=True, unroll=2, lint=True)
-        assert set(default_pipeline(opts)) <= set(KNOWN_PASSES)
-
 
 class TestDeclaredInvalidation:
-    """The old manual HLIQuery rebuild, now a declared effect."""
+    """Query indices rebuild once before the next pass that reads them."""
 
     def test_no_opt_passes_no_rebuilds(self):
         comp = compile_source(
@@ -156,35 +137,131 @@ class TestOptStatsField:
         assert isinstance(comp.opt_stats, OptStats)
 
 
-class TestPassManagerUnit:
-    """The generic manager, exercised without the compiler pipeline."""
+# Query-index rebuilds per (mode, unroll, cse, licm), for
+# (schedule, lint) = (off, off), (off, on), (on, off), (on, on).
+# cse and licm leave the indices stale in every mode, unroll only when it
+# reads HLI; schedule, lint and (outside gcc mode) the optimizers read them.
+_REBUILDS = {
+    ("gcc", 1, False, False): (0, 0, 0, 0),
+    ("gcc", 1, False, True): (0, 1, 1, 1),
+    ("gcc", 1, True, False): (0, 1, 1, 1),
+    ("gcc", 1, True, True): (0, 1, 1, 1),
+    ("gcc", 2, False, False): (0, 0, 0, 0),
+    ("gcc", 2, False, True): (0, 1, 1, 1),
+    ("gcc", 2, True, False): (0, 1, 1, 1),
+    ("gcc", 2, True, True): (0, 1, 1, 1),
+    ("hli", 1, False, False): (0, 0, 0, 0),
+    ("hli", 1, False, True): (0, 1, 1, 1),
+    ("hli", 1, True, False): (0, 1, 1, 1),
+    ("hli", 1, True, True): (1, 2, 2, 2),
+    ("hli", 2, False, False): (0, 1, 1, 1),
+    ("hli", 2, False, True): (1, 2, 2, 2),
+    ("hli", 2, True, False): (1, 2, 2, 2),
+    ("hli", 2, True, True): (2, 3, 3, 3),
+    ("combined", 1, False, False): (0, 0, 0, 0),
+    ("combined", 1, False, True): (0, 1, 1, 1),
+    ("combined", 1, True, False): (0, 1, 1, 1),
+    ("combined", 1, True, True): (1, 2, 2, 2),
+    ("combined", 2, False, False): (0, 1, 1, 1),
+    ("combined", 2, False, True): (1, 2, 2, 2),
+    ("combined", 2, True, False): (1, 2, 2, 2),
+    ("combined", 2, True, True): (2, 3, 3, 3),
+}
 
-    def test_rebuilder_restores_invalidated_artifact(self):
-        log = []
-        passes = [
-            Pass("a", lambda ctx: log.append("a"), provides=("x",)),
-            Pass("b", lambda ctx: log.append("b"), requires=("x",),
-                 invalidates=("x",)),
-            Pass("c", lambda ctx: log.append("c"), requires=("x",)),
-        ]
-        pm = PassManager(passes, rebuilders={"x": lambda ctx: log.append("rebuild")})
-        stats = pm.run(object())
-        assert log == ["a", "b", "rebuild", "c"]
-        assert stats.rebuilds == {"x": 1}
+_SWITCHES = [
+    (row, schedule, lint)
+    for row in _REBUILDS
+    for schedule in (False, True)
+    for lint in (False, True)
+]
 
-    def test_invalidation_without_rebuilder_is_static_error(self):
-        passes = [
-            Pass("a", lambda ctx: None, provides=("x",)),
-            Pass("b", lambda ctx: None, requires=("x",), invalidates=("x",)),
-            Pass("c", lambda ctx: None, requires=("x",)),
-        ]
-        with pytest.raises(PipelineError, match="invalidated by an earlier pass"):
-            PassManager(passes).validate()
 
-    def test_split_frontend_requires_contiguous_prefix(self):
-        ok = [Pass("f", lambda c: None, frontend=True), Pass("b", lambda c: None)]
-        prefix, suffix = split_frontend(ok)
-        assert [p.name for p in prefix] == ["f"]
-        assert [p.name for p in suffix] == ["b"]
-        with pytest.raises(PipelineError, match="contiguous prefix"):
-            split_frontend(list(reversed(ok)))
+def test_rebuild_table_covers_every_combination():
+    counts = [n for row in _REBUILDS.values() for n in row]
+    assert len(counts) == 96
+    assert {n: counts.count(n) for n in set(counts)} == {0: 28, 1: 42, 2: 20, 3: 6}
+
+
+@pytest.mark.parametrize(
+    "row,schedule,lint",
+    _SWITCHES,
+    ids=[
+        f"{m}-u{u}-cse{int(c)}-licm{int(l)}-sched{int(s)}-lint{int(t)}"
+        for (m, u, c, l), s, t in _SWITCHES
+    ],
+)
+def test_fixed_pipeline_passes_and_rebuilds(row, schedule, lint):
+    """The options pick which passes of the one fixed order run, and how
+    often the query indices rebuild — the same cold, via a session, and
+    on a session's warm restore."""
+    mode, unroll, cse, licm = row
+    opts = CompileOptions(
+        mode=DDGMode(mode), unroll=unroll, cse=cse, licm=licm,
+        schedule=schedule, lint=lint,
+    )
+    backend = ["map"]
+    backend += ["unroll"] if unroll > 1 else []
+    backend += ["cse"] if cse else []
+    backend += ["licm"] if licm else []
+    backend += ["schedule"] if schedule else []
+    backend += ["lint"] if lint else []
+    n = _REBUILDS[row][2 * schedule + lint]
+    rebuilds = {"queries": n} if n else {}
+
+    cold = compile_source(SIMPLE_MAIN, "simple.c", opts).pipeline_stats
+    assert cold.passes_run == ["parse", "hli-build", "lower", *backend]
+    assert cold.rebuilds == rebuilds
+    assert cold.cached_prefix == ()
+
+    sess = CompilationSession()
+    first = sess.compile(SIMPLE_MAIN, "simple.c", opts).pipeline_stats
+    assert first.passes_run == cold.passes_run
+    assert first.rebuilds == rebuilds
+    assert first.function_runs == cold.function_runs
+    warm = sess.compile(SIMPLE_MAIN, "simple.c", opts).pipeline_stats
+    assert warm.passes_run == backend
+    assert warm.rebuilds == rebuilds
+    assert warm.cached_prefix == ("parse", "hli-build", "lower")
+    assert warm.function_runs == {p: [] for p in backend if p != "lint"}
+
+
+def _fp(passes: str) -> str:
+    return hashlib.sha256(passes.encode()).hexdigest()[:16]
+
+
+class TestPassFingerprints:
+    """Cache keys fold in the pass list as literal ``name@version`` text,
+    so renaming or reordering a pass changes every key on purpose."""
+
+    FRONTEND = "parse@1|hli-build@1|lower@1"
+
+    def test_manifest_and_front_end_keys(self):
+        sess = CompilationSession()
+        sess.compile(SIMPLE_MAIN, "simple.c")
+        key = _digest(b"repro-hli-cache", _fp(self.FRONTEND), "", "simple.c", SIMPLE_MAIN)
+        blob, _tier = sess.store.get(key)
+        assert blob is not None
+        program, table = parse_and_check(SIMPLE_MAIN, "simple.c")
+        builder = HLIBuilder(program, table)
+        salt = f"{CACHE_VERSION}:{binfmt.fingerprint()}:{_fp(self.FRONTEND)}:simple.c:"
+        keys = function_keys(
+            SIMPLE_MAIN, program, table, builder.pts, builder.refmod, salt=salt
+        )
+        assert _decode_manifest(blob).fe_keys == keys.fe
+        assert all(sess.store.contains(k) for k in keys.fe.values())
+
+    def test_back_end_key(self):
+        sess = CompilationSession()
+        opts = CompileOptions(cse=True, licm=True, unroll=2)
+        sess.compile(SIMPLE_MAIN, "simple.c", opts)
+        key = _digest(b"repro-hli-cache", _fp(self.FRONTEND), "", "simple.c", SIMPLE_MAIN)
+        fe_key = _decode_manifest(sess.store.get(key)[0]).fe_keys["main"]
+        be_key = _digest(
+            b"repro-fn-be",
+            fe_key,
+            _fp("map@1|unroll@1|cse@1|licm@1|schedule@1"),
+            "combined",
+            "2",
+            "r4600_latency",
+        )
+        assert sess.store.contains(be_key)

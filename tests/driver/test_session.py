@@ -8,7 +8,6 @@ from repro import CompileOptions, compile_source, obs
 from repro.backend.ddg import DDGMode
 from repro.difftest.diff import build_matrix
 from repro.difftest.incremental import canonical_rtl
-from repro.driver.passes import build_pipeline
 from repro.driver.session import (
     CacheCorruption,
     CompilationSession,
@@ -220,7 +219,7 @@ class TestCorruption:
         # a cold compile stores the fe blobs in program order (leaf, mid,
         # other, main), then the manifest, then the be blobs
         assert len(puts) == 9
-        assert puts[4] == cache_key(CHAIN_SOURCE, "chain.c", build_pipeline(CompileOptions()))
+        assert puts[4] == cache_key(CHAIN_SOURCE, "chain.c")
         disk_session.store.evict(puts[1])  # mid's fe blob
         disk_session.store.evict(puts[6])  # mid's be blob
         sess = CompilationSession(cache_dir=disk_session.cache_dir)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.frontend import ast_nodes as ast
 from repro.frontend import parse_and_check
 from repro.frontend.errors import SemanticError
 from repro.frontend.symbols import StorageClass

@@ -20,7 +20,6 @@ from repro.hli.tables import (
     HLIFile,
     ItemType,
     LCDDEntry,
-    LineTable,
     RefModEntry,
     RefModKey,
     RegionEntry,

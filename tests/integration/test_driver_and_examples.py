@@ -1,7 +1,6 @@
 """Driver/report CLI and example-script integration tests."""
 
 import io
-import runpy
 import subprocess
 import sys
 from pathlib import Path

@@ -14,7 +14,7 @@ import pytest
 
 from repro import CompileOptions, compile_source
 from repro.backend.rtl import BRANCH_OPS, Opcode
-from repro.hli.query import EquivAcc, HLIQuery
+from repro.hli.query import EquivAcc
 from repro.machine.executor import execute
 from repro.workloads.generators import random_program
 from repro.workloads.suite import by_name

@@ -17,7 +17,6 @@ from repro.hli.sizes import size_report
 from repro.machine.executor import execute
 from repro.workloads.suite import (
     BENCHMARKS,
-    by_name,
     float_benchmarks,
     integer_benchmarks,
 )
