@@ -21,8 +21,7 @@ iterations after W discarded warmup iterations:
   line-count-preserving edit to ``main`` against a warm session, with
   the invalidation invariant (back-end re-runs *exactly* ``main``)
   checked every iteration.
-* **decode** — codec throughput per blob kind: the hand-packed RTL
-  function codec and the linker's persisted summary table, each
+* **decode** — codec throughput of the hand-packed RTL function codec,
   verified on every decode (the ``decode-v1`` microbenchmark), plus RTL
   encode time per instruction on the set's largest function.
 * **wpa** — partitioned parallel whole-program back end: cold serial
@@ -244,16 +243,15 @@ def _incremental(report: Report, prog: WorkloadProgram, n: int, w: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dict:
-    """Codec throughput per blob kind (the ``decode-v1`` microbenchmark).
+    """Codec throughput (the ``decode-v1`` microbenchmark).
 
     Measures, for every single-unit program, the encode and decode cost
     of the hand-packed RTL function codec (the bulk of every per-function
-    cache blob) and, for multi-unit programs, of the linker's persisted
-    summary table.  Each observation covers the whole
-    program (all functions), so medians track suite-shaped work, not
-    single-blob micronoise.  Every decode is verified against the
-    encoded original's shape; a mismatch fails the run via the
-    ``decode.roundtrip_ok`` fact.
+    cache blob); multi-unit programs are skipped.  Each observation
+    covers the whole program (all functions), so medians track
+    suite-shaped work, not single-blob micronoise.  Every decode is
+    verified against the encoded original's shape; a mismatch fails the
+    run via the ``decode.roundtrip_ok`` fact.
 
     ``rtl_encode_us_per_insn`` times the encode of the largest
     single-unit function alone, per instruction: a linear codec costs
@@ -263,32 +261,12 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
     """
     from ..binfmt.rtlcodec import decode_rtl_function, encode_rtl_function
     from ..driver.compile import compile_source
-    from ..frontend import parse_and_check
-    from ..linker import analyze_unit, compute_summaries
-    from ..linker.persist import decode_summaries, encode_summaries
 
     ok = True
     total_blob_bytes = 0
     largest = None  # (RTL function, its program)
-    for prog in progs:
-        if prog.multi_unit:
-            units = []
-            for fname, source in prog.units:
-                program, table = parse_and_check(source, fname)
-                units.append(analyze_unit(program, table, filename=fname))
-            result = compute_summaries(units)
-            enc_secs, blob = _observe(lambda: encode_summaries(result, "bench"), n, w)
-            dec_secs, back = _observe(lambda: decode_summaries(blob), n, w)
-            ok &= sorted(back[1].summaries) == sorted(result.summaries)
-            total_blob_bytes += len(blob)
-            report.add(
-                "decode", prog.name, prog.profile, "summary_encode_seconds", enc_secs
-            )
-            report.add(
-                "decode", prog.name, prog.profile, "summary_decode_seconds", dec_secs
-            )
-            continue
-
+    singles = [prog for prog in progs if not prog.multi_unit]
+    for prog in singles:
         comp = compile_source(prog.source, prog.units[0][0], _options())
         fns = list(comp.rtl.functions.values())
         for fn in fns:
@@ -316,7 +294,7 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
             "decode", prog.name, prog.profile, "rtl_encode_us_per_insn",
             [1e6 * s / len(big.insns) for s in secs],
         )
-    metrics.inc("bench.compiles", "decode", len(progs))
+    metrics.inc("bench.compiles", "decode", len(singles))
     return {"roundtrip_ok": ok, "blob_bytes": total_blob_bytes}
 
 
@@ -468,7 +446,7 @@ def run_set(
             report.facts["incremental.exact_invalidation"] = exact / eligible
 
     if "decode" in paths:
-        say("decode: all programs")
+        say("decode: single-unit programs")
         facts = _decode(report, progs, iterations, warmup)
         report.facts["decode.roundtrip_ok"] = float(facts["roundtrip_ok"])
         report.facts["decode.blob_bytes"] = facts["blob_bytes"]

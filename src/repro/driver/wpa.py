@@ -148,7 +148,6 @@ def compile_whole_program(
     options: Optional[CompileOptions] = None,
     whole_program: bool = True,
     session: Optional["CompilationSession"] = None,
-    summary_cache: Optional[str] = None,
     jobs: Optional[int] = 1,
     partition: str = "none",
 ) -> WholeProgramResult:
@@ -158,10 +157,6 @@ def compile_whole_program(
     diagnostics are always produced) but phase 2 compiles every unit
     with the conservative per-file defaults — the baseline the
     whole-program mode is measured against.
-
-    ``summary_cache`` names a file persisting the linked cross-module
-    summary table (:mod:`repro.linker.persist`): an unchanged program
-    restores it instead of re-running the interprocedural fixpoint.
 
     ``jobs``/``partition`` schedule phase 2; phase 1 always runs
     serially in this process.  ``jobs=1`` or ``partition="none"`` (the
@@ -203,7 +198,7 @@ def compile_whole_program(
             partition=partition,
         ):
             analyses = _analyze_source(sources)
-            result.link = link_units(analyses, summary_cache=summary_cache)
+            result.link = link_units(analyses)
 
             def job_for(filename: str, source: str, unit) -> CompileJob:
                 if whole_program:
@@ -259,14 +254,7 @@ def compile_whole_program(
                 for (filename, source), unit in zip(sources, analyses):
                     job = job_for(filename, source, unit)
                     if session is not None:
-                        comp = session.compile(
-                            job.source,
-                            job.filename,
-                            opts,
-                            external_effects=job.external_effects,
-                            extra_salt=job.extra_salt,
-                            analysis=unit,
-                        )
+                        comp = session.compile(**vars(job))
                     else:
                         comp = compile_source(
                             job.source,

@@ -22,9 +22,7 @@ the missing link step, in the spirit of LTO summaries:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from ..hli import faults
 from ..obs import metrics, trace
@@ -134,38 +132,13 @@ def _apply_link_faults(result: LinkResult) -> None:
             )
 
 
-def link_units(
-    units: list[UnitAnalysis],
-    summary_cache: Optional[Union[str, os.PathLike[str]]] = None,
-) -> LinkResult:
-    """Reconcile symbols and compute cross-module summaries for ``units``.
-
-    ``summary_cache`` names a file persisting the cross-module summary
-    table (:mod:`repro.linker.persist`).  The table is keyed by a
-    fingerprint of every unit's *local* summaries — the fixpoint's
-    complete input — so an unchanged program restores the linked
-    summaries instead of re-running the SCC fixpoint, and any edit (or
-    a corrupt/stale file) recomputes and overwrites.
-    """
+def link_units(units: list[UnitAnalysis]) -> LinkResult:
+    """Reconcile symbols and compute cross-module summaries for ``units``."""
     with trace.span("linker.link", units=len(units)):
         with trace.span("linker.reconcile"):
             table = build_link_table(units)
-        summary: Optional[SummaryResult] = None
-        key = ""
-        if summary_cache is not None:
-            from .persist import load_summaries, local_fingerprint
-
-            key = local_fingerprint(units)
-            summary = load_summaries(summary_cache, key)
-            if summary is not None:
-                metrics.inc("linker.summaries_restored")
-        if summary is None:
-            with trace.span("linker.summaries"):
-                summary = compute_summaries(units)
-            if summary_cache is not None:
-                from .persist import save_summaries
-
-                save_summaries(summary_cache, summary, key)
+        with trace.span("linker.summaries"):
+            summary = compute_summaries(units)
         result = LinkResult(units=units, table=table, summary=summary)
         _apply_link_faults(result)
         if metrics.is_enabled():

@@ -95,8 +95,6 @@ class SummaryResult:
     sccs: list[list[str]] = field(default_factory=list)
     #: SCC id -> fixpoint iterations it took to stabilize
     iterations: list[int] = field(default_factory=list)
-    #: function -> defined callee names (the whole-program call graph)
-    call_graph: dict[str, set[str]] = field(default_factory=dict)
 
     @property
     def total_iterations(self) -> int:
@@ -261,9 +259,7 @@ def compute_summaries(units: list[UnitAnalysis]) -> SummaryResult:
     for u in units:
         for name, local in u.locals.items():
             locals_by_name[name] = local
-    graph = build_call_graph(units)
-    result.call_graph = graph
-    result.sccs = tarjan_sccs(graph)
+    result.sccs = tarjan_sccs(build_call_graph(units))
     for name, local in locals_by_name.items():
         result.summaries[name] = from_local(local)
     for scc_id, comp in enumerate(result.sccs):

@@ -84,129 +84,6 @@ int main() {{
 """
 
 
-class RandomProgramBuilder:
-    """Structured random MiniC generator for differential fuzzing.
-
-    Produces programs that always terminate and never fault: loops are
-    bounded counted loops, array subscripts are reduced into range with
-    masks, division is avoided, and integer overflow is well-defined
-    (32-bit wrap) in both the interpreter and the machine.  The result is
-    deterministic per seed.
-
-    All randomness flows through one explicit :class:`random.Random`
-    instance — either a private one seeded with ``seed`` or a caller
-    supplied ``rng`` — never the module-global ``random`` state, so
-    output is reproducible under pytest-xdist workers and the
-    ``repro-fuzz`` CLI regardless of what else draws random numbers.
-    """
-
-    INT_OPS = ["+", "-", "*", "&", "|", "^"]
-    CMP_OPS = ["<", ">", "<=", ">=", "==", "!="]
-
-    def __init__(
-        self,
-        seed: int,
-        max_stmts: int = 10,
-        max_depth: int = 2,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self.rng = rng if rng is not None else random.Random(seed)
-        self.max_stmts = max_stmts
-        self.max_depth = max_depth
-        self.arrays = ["ga", "gb"]
-        self.scalars = ["gs", "gt"]
-        self.locals = ["x", "y", "z"]
-        self.array_size = 32
-
-    # -- expressions -------------------------------------------------------
-
-    def _int_atom(self, depth: int, idx_vars: list[str]) -> str:
-        roll = self.rng.random()
-        if roll < 0.3:
-            return str(self.rng.randint(-9, 9))
-        if roll < 0.5 and idx_vars:
-            return self.rng.choice(idx_vars)
-        if roll < 0.7:
-            return self.rng.choice(self.scalars + self.locals)
-        arr = self.rng.choice(self.arrays)
-        return f"{arr}[({self._int_expr(depth + 1, idx_vars)}) & {self.array_size - 1}]"
-
-    def _int_expr(self, depth: int, idx_vars: list[str]) -> str:
-        if depth >= self.max_depth:
-            return self._int_atom(depth, idx_vars)
-        a = self._int_atom(depth, idx_vars)
-        b = self._int_atom(depth, idx_vars)
-        op = self.rng.choice(self.INT_OPS)
-        return f"({a} {op} {b})"
-
-    def _cond(self, idx_vars: list[str]) -> str:
-        a = self._int_atom(1, idx_vars)
-        b = self._int_atom(1, idx_vars)
-        return f"{a} {self.rng.choice(self.CMP_OPS)} {b}"
-
-    # -- statements ------------------------------------------------------------
-
-    def _stmt(self, depth: int, idx_vars: list[str]) -> list[str]:
-        roll = self.rng.random()
-        pad = "    " * (depth + 1)
-        if roll < 0.35:
-            target = self.rng.choice(self.scalars + self.locals)
-            return [f"{pad}{target} = {self._int_expr(0, idx_vars)};"]
-        if roll < 0.6:
-            arr = self.rng.choice(self.arrays)
-            sub = f"({self._int_expr(1, idx_vars)}) & {self.array_size - 1}"
-            return [f"{pad}{arr}[{sub}] = {self._int_expr(0, idx_vars)};"]
-        if roll < 0.8 and depth < self.max_depth:
-            body = self._stmt(depth + 1, idx_vars)
-            out = [f"{pad}if ({self._cond(idx_vars)}) {{"]
-            out.extend(body)
-            out.append(f"{pad}}}")
-            if self.rng.random() < 0.5:
-                out.append(f"{pad}else {{")
-                out.extend(self._stmt(depth + 1, idx_vars))
-                out.append(f"{pad}}}")
-            return out
-        if depth < self.max_depth:
-            var = f"k{depth}"
-            trip = self.rng.randint(1, 8)
-            inner = idx_vars + [var]
-            out = [f"{pad}for ({var} = 0; {var} < {trip}; {var}++) {{"]
-            for _ in range(self.rng.randint(1, 3)):
-                out.extend(self._stmt(depth + 1, inner))
-            out.append(f"{pad}}}")
-            return out
-        return [f"{pad}{self.rng.choice(self.locals)} = {self._int_atom(0, idx_vars)};"]
-
-    def build(self) -> str:
-        body: list[str] = []
-        for _ in range(self.rng.randint(3, self.max_stmts)):
-            body.extend(self._stmt(0, []))
-        checksum = " + ".join(
-            [f"ga[{i}]" for i in range(0, self.array_size, 7)]
-            + [f"gb[{i}]" for i in range(3, self.array_size, 11)]
-            + self.scalars
-        )
-        return f"""int ga[{self.array_size}];
-int gb[{self.array_size}];
-int gs;
-int gt;
-
-int main() {{
-    int x, y, z;
-    int k0, k1, k2;
-    x = 1; y = 2; z = 3;
-    k0 = 0; k1 = 0; k2 = 0;
-{chr(10).join(body)}
-    return ({checksum}) & 65535;
-}}
-"""
-
-
-def random_program(seed: int, rng: Optional[random.Random] = None) -> str:
-    """A deterministic random MiniC program (terminating, fault-free)."""
-    return RandomProgramBuilder(seed, rng=rng).build()
-
-
 def random_affine_loop(
     seed: int, size: int = 32, rng: Optional[random.Random] = None
 ) -> tuple[str, list[int]]:

@@ -55,18 +55,33 @@ class TestGatedCommands:
         # one-iteration decode-v1 run through the real CLI, gated
         # against the committed ceiling baselines
         from repro.bench.cli import main as bench_main
+        from repro.bench.registry import materialize
+        from repro.obs import metrics
 
         out = tmp_path / "decode.json"
-        rc = bench_main([
-            "--set", "quick-v1", "--paths", "decode",
-            "--iterations", "1", "--warmup", "0", "--quiet",
-            "--gate", str(REPO_ROOT / "benchmarks/baselines/decode-v1.json"),
-            "--out", str(out),
-        ])
+        was_enabled = metrics.is_enabled()
+        metrics.reset()
+        metrics.enable()
+        try:
+            rc = bench_main([
+                "--set", "quick-v1", "--paths", "decode",
+                "--iterations", "1", "--warmup", "0", "--quiet",
+                "--gate", str(REPO_ROOT / "benchmarks/baselines/decode-v1.json"),
+                "--out", str(out),
+            ])
+        finally:
+            if not was_enabled:
+                metrics.disable()
         assert rc == 0
         doc = _json_at(out)
         assert doc["facts"]["decode.roundtrip_ok"] == 1.0
         assert doc["facts"]["decode.blob_bytes"] > 0
+        # the decode path times the RTL codec of single-unit programs only
+        singles = {p.name for p in materialize("quick-v1") if not p.multi_unit}
+        rows = [m for m in doc["measurements"] if m["path"] == "decode"]
+        assert {m["program"] for m in rows} == singles
+        assert not [m for m in rows if m["metric"].startswith("summary_")]
+        assert metrics.counters()["bench.compiles.decode"] == len(singles)
 
     def test_rtl_encode_gate_catches_a_linear_register_scan(self, monkeypatch):
         # the register dedup the RTL codec used to have: a scan over every

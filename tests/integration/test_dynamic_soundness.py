@@ -14,9 +14,9 @@ import pytest
 
 from repro import CompileOptions, compile_source
 from repro.backend.rtl import BRANCH_OPS, Opcode
+from repro.difftest.gen import GenConfig, generate
 from repro.hli.query import EquivAcc
 from repro.machine.executor import execute
-from repro.workloads.generators import random_program
 from repro.workloads.suite import by_name
 
 #: benchmarks with small enough traces for the quadratic window check
@@ -102,7 +102,7 @@ class TestDynamicSoundness:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fuzzed_programs(self, seed):
-        src = random_program(seed)
+        src = generate(seed, GenConfig.preset("small"))
         comp = compile_source(src, f"dyn{seed}.c", CompileOptions())
         check_program(comp)
 

@@ -52,7 +52,7 @@ class TestSpanTree:
         )
         names = {s.name for s in trace.iter_spans()}
         assert {"pm.pass", "backend.cse", "backend.licm"} <= names
-        # every pipeline stage runs under a pass-manager span
+        # every stage of the fixed pipeline runs under a pm.pass span
         ran = {
             s.attrs["pass"] for s in trace.iter_spans() if s.name == "pm.pass"
         }
