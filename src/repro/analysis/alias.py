@@ -87,14 +87,17 @@ class PointsToAnalysis:
     # -- public API ---------------------------------------------------------
 
     def run(self) -> PointsToResult:
-        self._collect_addressable()
+        stmts: dict[str, list[ast.Stmt]] = {}
+        for fn in self.program.functions:
+            assert fn.body is not None
+            stmts[fn.name] = ast.walk_stmts(fn.body)
+        self._collect_addressable(stmts)
         for fn in self.program.functions:
             self._params[fn.name] = [
                 p.symbol for p in fn.params if isinstance(p.symbol, Symbol)
             ]
         for fn in self.program.functions:
-            assert fn.body is not None
-            for stmt in ast.walk_stmts(fn.body):
+            for stmt in stmts[fn.name]:
                 for e in ast.stmt_exprs(stmt):
                     self._visit_expr(e, fn)
                 if isinstance(stmt, ast.Return) and stmt.value is not None:
@@ -105,13 +108,14 @@ class PointsToAnalysis:
 
     # -- universe -------------------------------------------------------------
 
-    def _collect_addressable(self) -> None:
+    def _collect_addressable(self, stmts: dict[str, list[ast.Stmt]]) -> None:
+        """Globals, then each function's in-memory locals (``stmts`` holds
+        every function's statements, pre-order)."""
         for decl in self.program.globals:
             if isinstance(decl.symbol, Symbol):
                 self.addressable.add(decl.symbol)
         for fn in self.program.functions:
-            assert fn.body is not None
-            for stmt in ast.walk_stmts(fn.body):
+            for stmt in stmts[fn.name]:
                 if isinstance(stmt, ast.VarDecl) and isinstance(stmt.symbol, Symbol):
                     sym = stmt.symbol
                     if sym.in_memory:

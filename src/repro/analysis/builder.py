@@ -35,6 +35,7 @@ from ..hli.tables import (
     RegionType,
 )
 from .alias import TOP, PointsToResult, analyze_points_to
+from .depend import RegionFacts
 from .eqclasses import ClassInfo, PartitionOptions, RegionPartitioner
 from .items import (
     Access,
@@ -71,6 +72,8 @@ class UnitInfo:
     region_items: dict[int, list[MemoryItem]] = field(default_factory=dict)
     #: final ClassInfo per class id
     class_info: dict[int, ClassInfo] = field(default_factory=dict)
+    #: overlap and loop-carried questions TBLCONST answered
+    overlap_tests: int = 0
 
 
 @dataclass
@@ -141,6 +144,7 @@ class HLIBuilder:
                     "analysis.classes",
                     sum(len(r.eq_classes) for r in entry.regions.values()),
                 )
+                metrics.add("analysis.overlap_tests", unit.overlap_tests)
         return hli, info
 
 
@@ -155,6 +159,9 @@ class _UnitBuilder:
         self.tree = RegionTreeBuilder()
         self.entry = HLIEntry(unit_name=fn.name, filename=parent.program.filename)
         self.unit = UnitInfo(fn=fn, root=None)  # type: ignore[arg-type]
+        self.facts = RegionFacts()
+        #: effects of the calls inside each emitted region's subtree
+        self._call_effects: dict[int, EffectSet] = {}
 
     def _next_id(self) -> int:
         return next(self._counter)
@@ -187,6 +194,7 @@ class _UnitBuilder:
 
         with trace.span("analysis.tblconst"):
             self._build_region_tables(root)
+        self.unit.overlap_tests = self.facts.tests
         return self.entry, self.unit
 
     # -- ITEMGEN traversal -------------------------------------------------------
@@ -195,23 +203,16 @@ class _UnitBuilder:
         self,
         accesses: list[Access],
         region: Region,
-        exprs: list[ast.Expr] | None = None,
-        stmt: ast.Stmt | None = None,
+        group: ast.Stmt | ast.Expr | None = None,
     ) -> None:
         """Generate items for one statement-group of accesses.
 
-        ``exprs`` are the group's expressions; scalars they assign taint
+        Scalars the ``group`` (a statement or expression) assigns taint
         the group's items (no epoch rescue) and bump the epoch counters
         afterwards, in walk order — which mirrors execution order within
-        one iteration.
+        one iteration.  The region tree's traversal has collected them.
         """
-        from .items import assigned_in_stmt, assigned_scalars
-
-        assigned: set[int] = set()
-        for e in exprs or ():
-            assigned |= assigned_scalars(e)
-        if stmt is not None:
-            assigned |= assigned_in_stmt(stmt)
+        assigned = self.tree.assigned[id(group)] if group is not None else frozenset()
         items = self.gen.gen_for_accesses(accesses, region, tainted=assigned)
         self.unit.region_items[region.region_id].extend(items)
         self.gen.bump_epochs(assigned)
@@ -246,24 +247,18 @@ class _UnitBuilder:
         if isinstance(stmt, ast.For):
             loop_region = self.tree.loop_regions[id(stmt)]
             if stmt.init is not None:
-                self._gen(
-                    list(walk_stmt_accesses(stmt.init)),
-                    region,
-                    stmt=stmt.init,
-                )
+                self._gen(walk_stmt_accesses(stmt.init), region, stmt.init)
             if stmt.cond is not None:
-                self._gen(list(walk_rvalue(stmt.cond)), loop_region, [stmt.cond])
+                self._gen(walk_rvalue(stmt.cond), loop_region, stmt.cond)
             if stmt.body is not None:
                 self._visit_body(stmt.body, loop_region)
             if stmt.step is not None:
-                self._gen(list(walk_rvalue(stmt.step)), loop_region, [stmt.step])
+                self._gen(walk_rvalue(stmt.step), loop_region, stmt.step)
             return
         if isinstance(stmt, ast.While):
             loop_region = self.tree.loop_regions[id(stmt)]
             self._gen(
-                list(walk_rvalue(stmt.cond)) if stmt.cond else [],
-                loop_region,
-                [stmt.cond] if stmt.cond else [],
+                walk_rvalue(stmt.cond) if stmt.cond else [], loop_region, stmt.cond
             )
             if stmt.body is not None:
                 self._visit_body(stmt.body, loop_region)
@@ -273,14 +268,12 @@ class _UnitBuilder:
             if stmt.body is not None:
                 self._visit_body(stmt.body, loop_region)
             self._gen(
-                list(walk_rvalue(stmt.cond)) if stmt.cond else [],
-                loop_region,
-                [stmt.cond] if stmt.cond else [],
+                walk_rvalue(stmt.cond) if stmt.cond else [], loop_region, stmt.cond
             )
             return
         if isinstance(stmt, ast.If):
             if stmt.cond is not None:
-                self._gen(list(walk_rvalue(stmt.cond)), region, [stmt.cond])
+                self._gen(walk_rvalue(stmt.cond), region, stmt.cond)
             if stmt.then is not None:
                 self._visit(stmt.then, region)
             if stmt.otherwise is not None:
@@ -294,7 +287,7 @@ class _UnitBuilder:
             for d in stmt.decls:
                 self._visit(d, region)
             return
-        self._gen(list(walk_stmt_accesses(stmt)), region, stmt=stmt)
+        self._gen(walk_stmt_accesses(stmt), region, stmt)
 
     def _visit_body(self, body: ast.Stmt, region: Region) -> None:
         if isinstance(body, ast.Block):
@@ -318,6 +311,7 @@ class _UnitBuilder:
                 lifted=sub_classes,
                 pts=self.parent.pts,
                 next_id=self._next_id,
+                facts=self.facts,
                 options=self.parent.partition_options,
             )
             result = part.run()
@@ -366,6 +360,7 @@ class _UnitBuilder:
             entry.alias_entries.append(AliasEntry(class_ids=frozenset((a, b))))
         entry.lcdd_entries.extend(result.lcdd)
         self._emit_refmod(region, entry, result.classes)
+        self._subtree_call_effects(region)
         self.entry.regions[region.region_id] = entry
 
     # -- REF/MOD table ------------------------------------------------------------
@@ -377,17 +372,19 @@ class _UnitBuilder:
             return EffectSet(ref={TOP}, mod={TOP})
         return eff
 
-    def _region_call_effects(self, region: Region) -> EffectSet:
-        """Union of effects of every call transitively inside ``region``."""
+    def _subtree_call_effects(self, region: Region) -> EffectSet:
+        """Union of effects of every call transitively inside ``region``.
+
+        TBLCONST emits sub-regions first, so each child's union is ready
+        and each call item is read once per unit build.
+        """
         total = EffectSet()
-        found = False
-        for r in region.walk():
-            for it in self.unit.region_items[r.region_id]:
-                if it.kind is AccessKind.CALL:
-                    total.union_update(self._effects_of_call_item(it))
-                    found = True
-        if not found:
-            return EffectSet()
+        for it in self.unit.region_items[region.region_id]:
+            if it.kind is AccessKind.CALL:
+                total.union_update(self._effects_of_call_item(it))
+        for child in region.children:
+            total.union_update(self._call_effects[child.region_id])
+        self._call_effects[region.region_id] = total
         return total
 
     def _classes_touched(self, objs: set, classes: list[ClassInfo]) -> list[int]:
@@ -428,7 +425,7 @@ class _UnitBuilder:
             )
         # Calls inside each immediate sub-region: one entry per sub-region.
         for child in region.children:
-            eff = self._region_call_effects(child)
+            eff = self._call_effects[child.region_id]
             if not eff.ref and not eff.mod:
                 continue
             entry.refmod_entries.append(

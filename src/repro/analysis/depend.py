@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from ..frontend.symbols import Symbol
 from .items import SymbolicRef
@@ -65,6 +65,9 @@ class LoopCarried:
 
 
 NO_DEP = LoopCarried(DepResult.NONE)
+_MAYBE = LoopCarried(DepResult.MAYBE)
+#: dependent at every distance (same location every iteration)
+_EVERY = LoopCarried(DepResult.DEF, distance=1, any_distance=True)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,7 @@ NO_DEP = LoopCarried(DepResult.NONE)
 # ---------------------------------------------------------------------------
 
 
-def _form_symbols_ok(form: Affine, loop: Region, extra_vars: set[Symbol]) -> bool:
+def _form_symbols_ok(form: Affine, loop: Region, extra_vars: AbstractSet[Symbol]) -> bool:
     """True if every symbol in ``form`` is either an allowed induction
     variable or invariant inside ``loop``."""
     for sym in form.symbols():
@@ -97,52 +100,52 @@ def _enclosing_induction_vars(region: Region) -> set[Symbol]:
 
 
 def _dim_loop_carried(
-    f1: Optional[Affine], f2: Optional[Affine], loop: Region
+    d1: Optional["_DimFacts"],
+    d2: Optional["_DimFacts"],
+    loop: Region,
+    rng: Optional[range],
 ) -> LoopCarried:
     """Loop-carried test for one subscript dimension w.r.t. ``loop``.
 
+    Both dimensions are split at ``loop`` and use none of their free
+    variables, so ``risky`` lists exactly the symbols that are neither
+    induction variables of the enclosing loops nor invariant in ``loop``.
+    ``rng`` is the loop's iteration range (``None`` when not constant).
     Returns the per-dimension verdict; ``distance=None`` with DEF means
     "dependent at every distance" (ZIV-equal case).
     """
     info = loop.loop
-    if f1 is None or f2 is None:
-        return LoopCarried(DepResult.MAYBE)
+    if d1 is None or d2 is None:
+        return _MAYBE
     if info is None or not info.is_canonical:
-        # Unrecognized loop: cannot reason about iteration spacing.
-        diff = f1 - f2
-        if diff.is_constant and diff.const != 0 and f1.key() != f2.key():
-            # Same symbolic shape offset by a nonzero constant COULD still
-            # collide across iterations of an unknown loop -> MAYBE.
-            return LoopCarried(DepResult.MAYBE)
-        return LoopCarried(DepResult.MAYBE)
+        # Unrecognized loop: cannot reason about iteration spacing (even
+        # a constant offset could collide across its iterations).
+        return _MAYBE
     var = info.var
     assert var is not None and info.step is not None
     step = info.step
     if step == 0:
-        return LoopCarried(DepResult.MAYBE)
+        return _MAYBE
 
-    allowed = _enclosing_induction_vars(loop)
-    if not (_form_symbols_ok(f1, loop, allowed) and _form_symbols_ok(f2, loop, allowed)):
-        return LoopCarried(DepResult.MAYBE)
+    if d1.risky or d2.risky:
+        return _MAYBE
 
+    f1, f2 = d1.form, d2.form
     a1, a2 = f1.coeff(var), f2.coeff(var)
-    r1, r2 = f1.drop(var), f2.drop(var)
-    rdiff = r1 - r2  # must equal a2*i2 - a1*i1 ... see below
-
     # Outer-loop induction variables take the same value in both accesses
     # (we test one loop at a time with '=' directions outside), so they
-    # cancel only if their coefficients match.
-    if not rdiff.is_constant:
-        # Symbolic difference: if identical symbol parts the constant decides;
-        # handled above by is_constant. Otherwise unknown.
-        return LoopCarried(DepResult.MAYBE)
-    c = rdiff.const  # r1 - r2
+    # cancel only if their coefficients match: the remainders r1, r2
+    # (``var`` dropped) must differ by a constant, else the answer is
+    # unknown.  Both forms are normalized, so that is equal terms.
+    if [t for t in f1.terms if t[0] is not var] != [t for t in f2.terms if t[0] is not var]:
+        return _MAYBE
+    c = f1.const - f2.const  # r1 - r2
 
     # Solve a1*i(k) + r1 = a2*i(k+d) + r2, i(k) = L0 + step*k.
     if a1 == 0 and a2 == 0:
         # ZIV: same location every iteration iff c == 0.
         if c == 0:
-            return LoopCarried(DepResult.DEF, distance=1, any_distance=True)
+            return _EVERY
         return NO_DEP
     if a1 == a2:
         # Strong SIV: a*(i1 - i2) = -c  ->  i2 - i1 = c / a.
@@ -155,8 +158,7 @@ def _dim_loop_carried(
         d = delta_i // step  # iterations from ref1 to ref2
         if d == 0:
             return NO_DEP  # loop-independent, not carried
-        trip = info.trip_count()
-        if trip is not None and abs(d) >= trip:
+        if rng is not None and abs(d) >= len(rng):
             return NO_DEP
         if d > 0:
             return LoopCarried(DepResult.DEF, distance=d, src_first=True)
@@ -167,12 +169,10 @@ def _dim_loop_carried(
     if g and c % g != 0:
         return NO_DEP
     # Banerjee-style bounds when the iteration space is fully known.
-    rng = info.iteration_range()
     if rng is not None:
-        vals = list(rng)
-        if not vals:
+        if len(rng) == 0:
             return NO_DEP
-        lo_i, hi_i = min(vals), max(vals)
+        lo_i, hi_i = min(rng[0], rng[-1]), max(rng[0], rng[-1])
 
         def bounds(coeff: int) -> tuple[int, int]:
             lo = coeff * (lo_i if coeff >= 0 else hi_i)
@@ -184,7 +184,7 @@ def _dim_loop_carried(
         # a1*i1 - a2*i2 ranges over [lo1 - hi2, hi1 - lo2]
         if not (lo1 - hi2 <= -c <= hi1 - lo2):
             return NO_DEP
-    return LoopCarried(DepResult.MAYBE)
+    return _MAYBE
 
 
 def _dim_intra_iteration(
@@ -203,8 +203,8 @@ def _dim_intra_iteration(
     """
     if f1 is None or f2 is None:
         return DepResult.MAYBE
-    allowed = _enclosing_induction_vars(region)
     if stable is None:
+        allowed = _enclosing_induction_vars(region)
         stable = _form_symbols_ok(f1, region, allowed) and _form_symbols_ok(
             f2, region, allowed
         )
@@ -268,14 +268,22 @@ def loop_carried_dependence(
     Conservative MAYBE for anything the affine machinery cannot handle.
     Scalars (no subscripts) on the same base are dependent at distance 1.
     """
-    if not _comparable(ref1, ref2):
-        return LoopCarried(DepResult.MAYBE)
-    if not ref1.subscripts:
-        return LoopCarried(DepResult.DEF, distance=1, any_distance=True)
-    per_dim = [
-        _dim_loop_carried(f1, f2, loop)
-        for f1, f2 in zip(ref1.subscripts, ref2.subscripts)
-    ]
+    facts = RegionFacts()
+    x = facts.member(MemberRef(ref=ref1, is_store=False, home=loop), loop)
+    y = facts.member(MemberRef(ref=ref2, is_store=False, home=loop), loop)
+    return _loop_carried_dims(x, y, loop, facts.iteration_range(loop))
+
+
+def _loop_carried_dims(
+    x: "MemberFacts", y: "MemberFacts", loop: Region, rng: Optional[range]
+) -> LoopCarried:
+    """:func:`loop_carried_dependence` over members whose subscripts use
+    none of their free variables; ``rng`` is the loop's iteration range."""
+    if not _comparable(x.ref, y.ref):
+        return _MAYBE
+    if not x.ref.subscripts:
+        return _EVERY
+    per_dim = [_dim_loop_carried(d1, d2, loop, rng) for d1, d2 in zip(x.dims, y.dims)]
     if any(d.result is DepResult.NONE for d in per_dim):
         return NO_DEP
     if all(d.result is DepResult.DEF for d in per_dim):
@@ -283,12 +291,12 @@ def loop_carried_dependence(
         # every distance); constrained dims must agree on one distance.
         fixed = [(d.distance, d.src_first) for d in per_dim if not d.any_distance]
         if not fixed:
-            return LoopCarried(DepResult.DEF, distance=1, any_distance=True)
+            return _EVERY
         first = fixed[0]
         if all(f == first for f in fixed[1:]):
             return LoopCarried(DepResult.DEF, distance=first[0], src_first=first[1])
         return NO_DEP  # inconsistent required distances
-    return LoopCarried(DepResult.MAYBE)
+    return _MAYBE
 
 
 def intra_iteration_relation(
@@ -334,65 +342,196 @@ class MemberRef:
     epochs: tuple[tuple[int, int], ...] = ()
 
 
-def _pair_stable(
-    m1: "MemberRef",
-    m2: "MemberRef",
-    f1: Affine,
-    f2: Affine,
-    region: Region,
-    allowed: set[Symbol],
-) -> bool:
-    """Do both references observe the same value of every symbol in
-    ``f1``/``f2``, within one iteration of ``region``?
 
-    A symbol qualifies if it is an allowed induction variable, is never
-    modified inside ``region``, or — for two *immediate* items of
-    ``region`` — both items carry the same modification epoch for it
-    (no assignment between the two accesses).
+
+class _DimFacts:
+    """One subscript dimension of one member, split at one asking region.
+
+    ``fixed`` and ``const`` are the remainder once the free inner-loop
+    variables are dropped (its terms and constant); ``risky`` lists the
+    form's symbols that are neither induction variables of the region's
+    loops nor the member's own free variables, yet are assigned inside
+    the region.  When every free range is known, ``smin``/``smax`` bound
+    the sum of the free instances (``empty`` marks a zero-trip loop).
     """
-    e1 = dict(m1.epochs)
-    e2 = dict(m2.epochs)
-    both_immediate = m1.home is region and m2.home is region
-    for sym in set(f1.symbols()) | set(f2.symbols()):
-        if sym in allowed:
-            continue
-        if sym not in region.modified_scalars:
-            continue
-        if not both_immediate:
-            return False
-        c1, c2 = e1.get(sym.uid), e2.get(sym.uid)
-        if c1 is None or c2 is None or c1 != c2 or c1 < 0:
-            return False
-    return True
+
+    __slots__ = (
+        "form", "fixed", "const", "risky", "instances", "gcd",
+        "known", "empty", "smin", "smax",
+    )
+
+    def __init__(
+        self,
+        form: Affine,
+        free: dict[Symbol, Optional[range]],
+        ivs: frozenset[Symbol],
+        modified: set[Symbol],
+    ) -> None:
+        self.form = form
+        self.const = form.const
+        fixed: list[tuple[Symbol, int]] = []
+        risky: list[Symbol] = []
+        # Free instances: (coefficient, range) per free variable the form uses.
+        insts: list[tuple[int, Optional[range]]] = []
+        for term in form.terms:
+            sym = term[0]
+            if sym in free:
+                insts.append((term[1], free[sym]))
+                continue
+            fixed.append(term)
+            if sym not in ivs and sym in modified:
+                risky.append(sym)
+        self.fixed = tuple(fixed)
+        self.risky = risky
+        self.instances = bool(insts)
+        self.gcd = 0
+        self.known = True
+        self.empty = False
+        self.smin = self.smax = 0
+        for c, rng in insts:
+            self.gcd = math.gcd(self.gcd, abs(c))
+            if rng is None:
+                self.known = False
+        if self.known:
+            for c, rng in insts:
+                assert rng is not None
+                if len(rng) == 0:
+                    self.empty = True
+                    break
+                lo, hi = c * rng[0], c * rng[-1]
+                self.smin += min(lo, hi)
+                self.smax += max(lo, hi)
 
 
-def _free_vars_inside(home: Region, outer: Region) -> dict[Symbol, Optional[range]]:
-    """Induction vars of loops strictly inside ``outer`` enclosing ``home``.
+class MemberFacts:
+    """One member's facts at one asking region, computed once.
 
-    Maps each variable to its concrete iteration range when known
-    (``None`` = unknown range).
+    ``free`` maps the induction variables of the loops strictly inside
+    the region that enclose the member's home to their iteration ranges
+    (``None`` = unknown).  ``dims`` holds the per-dimension splits; it
+    is empty for references the affine tests never read (pointer
+    dereferences, unknown bases, scalars).
     """
-    out: dict[Symbol, Optional[range]] = {}
-    for r in home.ancestors():
-        if r is outer:
-            break
-        if r.kind is RegionKind.LOOP and r.loop is not None and r.loop.var is not None:
-            out[r.loop.var] = r.loop.iteration_range()
-    return out
+
+    __slots__ = (
+        "member", "ref", "store", "immediate", "free", "dims", "uses_free", "_epochs"
+    )
+
+    def __init__(self, member: "MemberRef", region: Region, facts: "RegionFacts") -> None:
+        self.member = member
+        #: does this member (or one it stands for, see RegionPartitioner) store?
+        self.store = member.is_store
+        ref = self.ref = member.ref
+        self.immediate = member.home is region
+        self.free = free = facts.free_vars(member.home, region)
+        self.dims: list[Optional[_DimFacts]] = []
+        self.uses_free = False
+        self._epochs: Optional[dict[int, int]] = None
+        if ref.base is None or ref.is_deref or not ref.subscripts:
+            return
+        ivs = facts.induction_vars(region)
+        modified = region.modified_scalars
+        for f in ref.subscripts:
+            if f is None:
+                self.dims.append(None)
+                continue
+            d = _DimFacts(f, free, ivs, modified)
+            self.dims.append(d)
+            if d.instances:
+                self.uses_free = True
+
+    @property
+    def epochs(self) -> dict[int, int]:
+        if self._epochs is None:
+            self._epochs = dict(self.member.epochs)
+        return self._epochs
 
 
-def _split_form(
-    form: Affine, free: dict[Symbol, Optional[range]]
-) -> tuple[list[tuple[int, Optional[range]]], Affine]:
-    """Split into (free-variable instances, fixed remainder)."""
-    instances: list[tuple[int, Optional[range]]] = []
-    fixed = form
-    for var, rng in free.items():
-        c = form.coeff(var)
-        if c != 0:
-            instances.append((c, rng))
-            fixed = fixed.drop(var)
-    return instances, fixed
+class RegionFacts:
+    """The facts every pair test of one unit build reads, each computed once.
+
+    Per region: the induction variables of its enclosing loops and its
+    iteration range.  Per (home, region): the free inner-loop variables
+    between them.  :meth:`member` splits one member's subscripts at one
+    region; :meth:`overlap` and :meth:`loop_carried` answer one question
+    each and count it in :attr:`tests`.
+
+    A region's verdicts are its own: nothing here carries a verdict from
+    a sub-region to its parent.  Lifting a member into the parent frees
+    the sub-region's induction variable, widens the set of scalars
+    assigned in the region and ends the epoch rescue for immediate
+    pairs, and each of the three verdicts can move under that:
+
+    * NONE to MAYBE: ``a[i]`` vs ``a[i+1]`` are disjoint within one
+      iteration of loop ``i`` and overlap across its iterations;
+    * MAYBE to NONE: ``a[2*i]`` vs ``a[1]`` in a loop of unknown bounds
+      are MAYBE there, and the GCD test proves them disjoint once ``i``
+      is free;
+    * DEF to MAYBE: two ``a[s]`` from different homes inside a loop
+      that never assigns ``s`` are DEF there, and MAYBE in a parent
+      that assigns ``s``.
+    """
+
+    __slots__ = ("_ivs", "_ranges", "_free", "tests")
+
+    def __init__(self) -> None:
+        self._ivs: dict[int, frozenset[Symbol]] = {}
+        self._ranges: dict[int, Optional[range]] = {}
+        self._free: dict[tuple[int, int], dict[Symbol, Optional[range]]] = {}
+        #: overlap and loop-carried questions answered so far
+        self.tests = 0
+
+    def induction_vars(self, region: Region) -> frozenset[Symbol]:
+        """Induction variables of the loops enclosing ``region`` (itself included)."""
+        got = self._ivs.get(region.region_id)
+        if got is None:
+            got = self._ivs[region.region_id] = frozenset(_enclosing_induction_vars(region))
+        return got
+
+    def iteration_range(self, region: Region) -> Optional[range]:
+        rid = region.region_id
+        if rid not in self._ranges:
+            info = region.loop
+            self._ranges[rid] = info.iteration_range() if info is not None else None
+        return self._ranges[rid]
+
+    def free_vars(self, home: Region, region: Region) -> dict[Symbol, Optional[range]]:
+        """Induction vars of loops strictly inside ``region`` enclosing ``home``.
+
+        Maps each variable to its concrete iteration range when known
+        (``None`` = unknown range).  The caller must not mutate the dict.
+        """
+        key = (home.region_id, region.region_id)
+        got = self._free.get(key)
+        if got is None:
+            got = {}
+            for r in home.ancestors():
+                if r is region:
+                    break
+                if r.kind is RegionKind.LOOP and r.loop is not None and r.loop.var is not None:
+                    got[r.loop.var] = self.iteration_range(r)
+            self._free[key] = got
+        return got
+
+    def member(self, member: "MemberRef", region: Region) -> MemberFacts:
+        return MemberFacts(member, region, self)
+
+    def overlap(self, x: MemberFacts, y: MemberFacts, region: Region) -> DepResult:
+        """:func:`may_overlap` over members split at ``region``."""
+        self.tests += 1
+        return _overlap(x, y, region)
+
+    def loop_carried(self, x: MemberFacts, y: MemberFacts, loop: Region) -> LoopCarried:
+        """:func:`class_loop_carried` over members split at ``loop``.
+
+        The answer for ``(y, x)`` is this one mirrored: the same result
+        and distance with ``src_first`` flipped.  Every rule is: the
+        constant difference of the remainders changes sign, which
+        negates the strong-SIV distance and leaves the ZIV, GCD and
+        Banerjee verdicts as they are.
+        """
+        self.tests += 1
+        return _loop_carried(x, y, loop, self)
 
 
 def may_overlap(m1: MemberRef, m2: MemberRef, region: Region) -> DepResult:
@@ -401,72 +540,11 @@ def may_overlap(m1: MemberRef, m2: MemberRef, region: Region) -> DepResult:
 
     ``DEF`` means the accessed location *sets* are provably identical and
     non-trivially so (used for the zero-distance merge rule); ``NONE``
-    means provably disjoint; anything else is ``MAYBE``.
+    means provably disjoint; anything else is ``MAYBE``.  The verdict is
+    symmetric in the two members.
     """
-    r1, r2 = m1.ref, m2.ref
-    if not _comparable(r1, r2):
-        return DepResult.MAYBE
-    if not r1.subscripts:
-        return DepResult.DEF  # same scalar
-    free1 = _free_vars_inside(m1.home, region)
-    free2 = _free_vars_inside(m2.home, region)
-    allowed = _enclosing_induction_vars(region) | set(free1) | set(free2)
-    verdicts: list[DepResult] = []
-    for f1, f2 in zip(r1.subscripts, r2.subscripts):
-        if f1 is None or f2 is None:
-            verdicts.append(DepResult.MAYBE)
-            continue
-        if not _pair_stable(m1, m2, f1, f2, region, allowed):
-            verdicts.append(DepResult.MAYBE)
-            continue
-        inst1, fixed1 = _split_form(f1, free1)
-        inst2, fixed2 = _split_form(f2, free2)
-        fixed_diff = fixed1 - fixed2
-        if not inst1 and not inst2:
-            verdicts.append(_dim_intra_iteration(f1, f2, region, stable=True))
-            continue
-        # Identical forms over identical free structure => identical sets.
-        if (
-            f1.key() == f2.key()
-            and set(free1) == set(free2)
-            and all(free1[v] == free2[v] for v in free1)
-        ):
-            verdicts.append(DepResult.DEF)
-            continue
-        if not fixed_diff.is_constant:
-            verdicts.append(DepResult.MAYBE)
-            continue
-        c = fixed_diff.const
-        # GCD test over all free instances (independent unknowns).
-        coeffs = [a for a, _ in inst1] + [a for a, _ in inst2]
-        g = 0
-        for a in coeffs:
-            g = math.gcd(g, abs(a))
-        if g and c % g != 0:
-            verdicts.append(DepResult.NONE)
-            continue
-        # Banerjee bounds when every free range is known.
-        ranges_known = all(r is not None for _, r in inst1 + inst2)
-        if ranges_known:
-            lo = hi = 0
-            for sign, insts in ((1, inst1), (-1, inst2)):
-                for a, rng in insts:
-                    assert rng is not None
-                    if len(rng) == 0:
-                        lo, hi = 1, 0  # empty loop: no accesses at all
-                        break
-                    vals = (a * sign * rng[0], a * sign * rng[-1])
-                    lo += min(vals)
-                    hi += max(vals)
-            if lo > hi or not (lo <= -c <= hi):
-                verdicts.append(DepResult.NONE)
-                continue
-        verdicts.append(DepResult.MAYBE)
-    if any(v is DepResult.NONE for v in verdicts):
-        return DepResult.NONE
-    if all(v is DepResult.DEF for v in verdicts):
-        return DepResult.DEF
-    return DepResult.MAYBE
+    facts = RegionFacts()
+    return _overlap(facts.member(m1, region), facts.member(m2, region), region)
 
 
 def class_loop_carried(m1: MemberRef, m2: MemberRef, loop: Region) -> LoopCarried:
@@ -475,110 +553,155 @@ def class_loop_carried(m1: MemberRef, m2: MemberRef, loop: Region) -> LoopCarrie
     Exact distances are only produced for non-lifted (immediate) pairs —
     lifted pairs degrade to DEF-any-distance / MAYBE / NONE.
     """
-    free1 = _free_vars_inside(m1.home, loop)
-    free2 = _free_vars_inside(m2.home, loop)
+    facts = RegionFacts()
+    return _loop_carried(facts.member(m1, loop), facts.member(m2, loop), loop, facts)
 
-    def uses_free(ref: SymbolicRef, free: dict) -> bool:
-        return any(
-            f is not None and f.coeff(v) != 0 for f in ref.subscripts for v in free
-        )
 
+def _stable(x: MemberFacts, y: MemberFacts, d1: _DimFacts, d2: _DimFacts) -> bool:
+    """Do both references observe the same value of every symbol of the
+    dimension, within one iteration of the region?
+
+    A symbol qualifies if it is an allowed induction variable (of the
+    region's loops or either side's free loops), is never modified
+    inside the region, or — for two *immediate* items of the region —
+    both items carry the same modification epoch for it (no assignment
+    between the two accesses).
+    """
+    unstable = [s for s in d1.risky if s not in y.free]
+    unstable += [s for s in d2.risky if s not in x.free]
+    if not unstable:
+        return True
+    if not (x.immediate and y.immediate):
+        return False
+    e1, e2 = x.epochs, y.epochs
+    for sym in unstable:
+        c1, c2 = e1.get(sym.uid), e2.get(sym.uid)
+        if c1 is None or c2 is None or c1 != c2 or c1 < 0:
+            return False
+    return True
+
+
+def _overlap(x: MemberFacts, y: MemberFacts, region: Region) -> DepResult:
+    r1, r2 = x.ref, y.ref
+    if not _comparable(r1, r2):
+        return DepResult.MAYBE
+    if not r1.subscripts:
+        return DepResult.DEF  # same scalar
+    all_def = True
+    for d1, d2 in zip(x.dims, y.dims):
+        if d1 is None or d2 is None:
+            all_def = False
+            continue
+        if (d1.risky or d2.risky) and not _stable(x, y, d1, d2):
+            all_def = False
+            continue
+        if not d1.instances and not d2.instances:
+            if d1.fixed == d2.fixed:  # constant difference
+                if d1.const != d2.const:
+                    return DepResult.NONE
+                continue
+            v = _dim_intra_iteration(d1.form, d2.form, region, stable=True)
+            if v is DepResult.NONE:
+                return v
+            all_def = False
+            continue
+        # Identical forms over identical free structure => identical sets.
+        if x.free == y.free and d1.form.key() == d2.form.key():
+            continue
+        if d1.fixed != d2.fixed:
+            all_def = False
+            continue
+        c = d1.const - d2.const
+        # GCD test over all free instances (independent unknowns).
+        g = math.gcd(d1.gcd, d2.gcd)
+        if g and c % g != 0:
+            return DepResult.NONE
+        # Banerjee bounds when every free range is known; a zero-trip
+        # loop on one side resets the running bounds to the empty (1, 0).
+        if d1.known and d2.known:
+            lo, hi = (1, 0) if d1.empty else (d1.smin, d1.smax)
+            if d2.empty:
+                lo, hi = 1, 0
+            else:
+                lo, hi = lo - d2.smax, hi - d2.smin
+            if lo > hi or not (lo <= -c <= hi):
+                return DepResult.NONE
+        all_def = False
+    return DepResult.DEF if all_def else DepResult.MAYBE
+
+
+def _loop_carried(
+    x: MemberFacts, y: MemberFacts, loop: Region, facts: RegionFacts
+) -> LoopCarried:
     # Inner-loop variables that never appear in the subscripts are inert:
     # fall back to the exact single-loop tests.
-    if not uses_free(m1.ref, free1) and not uses_free(m2.ref, free2):
-        return loop_carried_dependence(m1.ref, m2.ref, loop)
-    r1, r2 = m1.ref, m2.ref
+    if not x.uses_free and not y.uses_free:
+        return _loop_carried_dims(x, y, loop, facts.iteration_range(loop))
+    r1, r2 = x.ref, y.ref
     if not _comparable(r1, r2):
-        return LoopCarried(DepResult.MAYBE)
+        return _MAYBE
     if not r1.subscripts:
-        return LoopCarried(DepResult.DEF, distance=1, any_distance=True)
+        return _EVERY
+    free1, free2 = x.free, y.free
     info = loop.loop
     var = info.var if info is not None else None
+    ivs = facts.induction_vars(loop)
     # Identical location sets that do not shift with the loop variable are
     # re-touched every iteration.
     identical = all(
         (f1 is not None and f2 is not None and f1.key() == f2.key())
         for f1, f2 in zip(r1.subscripts, r2.subscripts)
-    ) and set(free1) == set(free2)
+    ) and free1.keys() == free2.keys()
     if identical and var is not None:
         uses_var = any(
             f1 is not None and f1.coeff(var) != 0 for f1 in r1.subscripts
         )
-        allowed = _enclosing_induction_vars(loop) | set(free1) | set(free2)
+        allowed = ivs | free1.keys()
         invariant = all(
             f is not None and _form_symbols_ok(f, loop, allowed)
             for f in r1.subscripts
         )
         if not invariant:
-            return LoopCarried(DepResult.MAYBE)
+            return _MAYBE
         if not uses_var:
-            return LoopCarried(DepResult.DEF, distance=1, any_distance=True)
+            return _EVERY
         # Shifts with var but free inner vars may still collide across
         # iterations (e.g. a[i+j]): conservative.
-        return LoopCarried(DepResult.MAYBE)
-    # General lifted case: use the overlap machinery ignoring the iteration
-    # constraint; treat the loop variable as one more independent free pair.
+        return _MAYBE
+    # General lifted case: the overlap tests without the iteration
+    # constraint, the loop variable being one more independent free
+    # variable on each side.  A dimension proven disjoint decides NONE.
     fake_free = dict(free1)
     fake_free2 = dict(free2)
-    if var is not None and info is not None:
-        rng = info.iteration_range()
+    if var is not None:
+        rng = facts.iteration_range(loop)
         fake_free[var] = rng
         fake_free2[var] = rng
-    m1x = MemberRef(ref=r1, is_store=m1.is_store, home=m1.home)
-    m2x = MemberRef(ref=r2, is_store=m2.is_store, home=m2.home)
-    verdict = _overlap_with_free(m1x, m2x, loop, fake_free, fake_free2)
-    if verdict is DepResult.NONE:
-        return NO_DEP
-    return LoopCarried(DepResult.MAYBE)
-
-
-def _overlap_with_free(
-    m1: MemberRef,
-    m2: MemberRef,
-    region: Region,
-    free1: dict[Symbol, Optional[range]],
-    free2: dict[Symbol, Optional[range]],
-) -> DepResult:
-    """Overlap test with caller-supplied free variable sets."""
-    r1, r2 = m1.ref, m2.ref
-    if not _comparable(r1, r2):
-        return DepResult.MAYBE
-    if not r1.subscripts:
-        return DepResult.DEF
-    allowed = _enclosing_induction_vars(region) | set(free1) | set(free2)
+    modified = loop.modified_scalars
     for f1, f2 in zip(r1.subscripts, r2.subscripts):
         if f1 is None or f2 is None:
             continue
-        if not (
-            _form_symbols_ok(f1, region, allowed) and _form_symbols_ok(f2, region, allowed)
+        d1 = _DimFacts(f1, fake_free, ivs, modified)
+        d2 = _DimFacts(f2, fake_free2, ivs, modified)
+        # Every symbol must be an induction variable of the enclosing
+        # loops, a free variable of either side, or invariant in the loop.
+        if any(s not in fake_free2 for s in d1.risky) or any(
+            s not in fake_free for s in d2.risky
         ):
             continue
-        inst1, fixed1 = _split_form(f1, free1)
-        inst2, fixed2 = _split_form(f2, free2)
-        fixed_diff = fixed1 - fixed2
-        if not fixed_diff.is_constant:
+        if d1.fixed != d2.fixed:
             continue
-        c = fixed_diff.const
-        coeffs = [a for a, _ in inst1] + [a for a, _ in inst2]
-        if not coeffs:
+        c = d1.const - d2.const
+        if not d1.instances and not d2.instances:
             if c != 0:
-                return DepResult.NONE
+                return NO_DEP
             continue
-        g = 0
-        for a in coeffs:
-            g = math.gcd(g, abs(a))
+        g = math.gcd(d1.gcd, d2.gcd)
         if g and c % g != 0:
-            return DepResult.NONE
-        if all(r is not None for _, r in inst1 + inst2):
-            lo = hi = 0
-            for sign, insts in ((1, inst1), (-1, inst2)):
-                for a, rng in insts:
-                    assert rng is not None
-                    if len(rng) == 0:
-                        return DepResult.NONE
-                    vals = (a * sign * rng[0], a * sign * rng[-1])
-                    lo += min(vals)
-                    hi += max(vals)
-            if not (lo <= -c <= hi):
-                return DepResult.NONE
-    return DepResult.MAYBE
+            return NO_DEP
+        if d1.known and d2.known:
+            if d1.empty or d2.empty:
+                return NO_DEP
+            if not (d1.smin - d2.smax <= -c <= d1.smax - d2.smin):
+                return NO_DEP
+    return _MAYBE

@@ -27,12 +27,7 @@ from typing import Callable, Optional
 from ..frontend.symbols import Symbol
 from ..hli.tables import DepType, EquivType, LCDDEntry
 from .alias import PointsToResult
-from .depend import (
-    DepResult,
-    MemberRef,
-    class_loop_carried,
-    may_overlap,
-)
+from .depend import DepResult, MemberFacts, MemberRef, RegionFacts
 from .items import AccessKind, MemoryItem
 from .regions import Region, RegionKind
 
@@ -87,13 +82,20 @@ def _group_key(c: ClassInfo) -> tuple:
     return (base_uid, c.is_deref)
 
 
-def _pair_relation(u: ClassInfo, v: ClassInfo, region: Region) -> DepResult:
-    """Combined overlap relation over all member cross pairs."""
+def _pair_relation(
+    overlap: Callable[[MemberFacts, MemberFacts, Region], DepResult],
+    fu: list[MemberFacts],
+    fv: list[MemberFacts],
+    region: Region,
+) -> DepResult:
+    """Combined overlap relation over all member cross pairs of two units."""
+    if len(fu) == 1 and len(fv) == 1:
+        return overlap(fu[0], fv[0], region)
     worst = DepResult.NONE
     all_def = True
-    for m1 in u.members:
-        for m2 in v.members:
-            rel = may_overlap(m1, m2, region)
+    for x in fu:
+        for y in fv:
+            rel = overlap(x, y, region)
             if rel is not DepResult.DEF:
                 all_def = False
             if rel is DepResult.MAYBE:
@@ -106,7 +108,15 @@ def _pair_relation(u: ClassInfo, v: ClassInfo, region: Region) -> DepResult:
 
 
 class RegionPartitioner:
-    """Build the final classes of one region from items + lifted classes."""
+    """Build the final classes of one region from items + lifted classes.
+
+    Each overlap question between two members is answered once, in
+    :meth:`_merge`: it keeps every unit-pair relation, and the alias
+    table reads a class pair's relation off the relations of its units.
+    ``facts`` is the unit build's :class:`RegionFacts`; each member is
+    split at this region once and its split serves the merge, the alias
+    table and the LCDD table.
+    """
 
     def __init__(
         self,
@@ -115,6 +125,7 @@ class RegionPartitioner:
         lifted: list[ClassInfo],
         pts: PointsToResult,
         next_id: Callable[[], int],
+        facts: RegionFacts,
         options: PartitionOptions | None = None,
     ) -> None:
         self.region = region
@@ -124,14 +135,51 @@ class RegionPartitioner:
         self.lifted = lifted
         self.pts = pts
         self.next_id = next_id
+        self.facts = facts
         self.options = options or PartitionOptions()
+        #: the units _merge partitions (proto classes, then lifted classes)
+        self._units: list[ClassInfo] = []
+        #: overlap relation per merge-candidate unit pair (i < j)
+        self._rel: dict[tuple[int, int], DepResult] = {}
+        #: unit indices per final class id
+        self._parts: dict[int, list[int]] = {}
+        #: member splits at this region, per unit index and per class id
+        self._unit_facts: dict[int, list[MemberFacts]] = {}
+        self._class_facts: dict[int, list[MemberFacts]] = {}
 
     def run(self) -> RegionClassResult:
         units = self._proto_classes() + [self._relabel(c) for c in self.lifted]
+        self._units = units
         classes = self._merge(units)
         alias_pairs = self._alias_pairs(classes)
         lcdd = self._lcdd(classes) if self.region.kind is RegionKind.LOOP else []
         return RegionClassResult(classes=classes, alias_pairs=alias_pairs, lcdd=lcdd)
+
+    def _facts_of_unit(self, idx: int) -> list[MemberFacts]:
+        """One split per distinct member of unit ``idx``.
+
+        Members that share a SymbolicRef object come from one proto class,
+        so they ask the same questions: one split stands for all of them,
+        and its ``store`` says whether any of them stores.
+        """
+        got = self._unit_facts.get(idx)
+        if got is None:
+            by_ref: dict[int, MemberFacts] = {}
+            for m in self._units[idx].members:
+                f = by_ref.get(id(m.ref))
+                if f is None:
+                    by_ref[id(m.ref)] = self.facts.member(m, self.region)
+                elif m.is_store:
+                    f.store = True
+            got = self._unit_facts[idx] = list(by_ref.values())
+        return got
+
+    def _facts_of_class(self, c: ClassInfo) -> list[MemberFacts]:
+        got = self._class_facts.get(c.class_id)
+        if got is None:
+            got = [f for idx in self._parts[c.class_id] for f in self._facts_of_unit(idx)]
+            self._class_facts[c.class_id] = got
+        return got
 
     # -- step 1: proto classes from immediate items ------------------------
 
@@ -156,9 +204,12 @@ class RegionPartitioner:
                 groups[key] = info
                 order.append(info)
             info.member_items.append(it.item_id)
+            # The members of one proto class share its first item's
+            # SymbolicRef object: same reference, epochs and home, so
+            # every pair test treats them alike (see _facts_of_unit).
             info.members.append(
                 MemberRef(
-                    ref=it.ref,
+                    ref=info.members[0].ref if info.members else it.ref,
                     is_store=it.kind is AccessKind.STORE,
                     home=self.region,
                     epochs=it.epochs,
@@ -206,19 +257,26 @@ class RegionPartitioner:
         for idx, u in enumerate(units):
             if u.base is not None:
                 by_group.setdefault(_group_key(u), []).append(idx)
+        overlap = self.facts.overlap
+        rels = self._rel
+        zero_distance = self.options.merge_zero_distance
+        maybe_lifted = self.options.merge_maybe_lifted
         for group in by_group.values():
+            facts = [self._facts_of_unit(k) for k in group] if len(group) > 1 else []
             for ai in range(len(group)):
+                i = group[ai]
+                lifted_i = units[i].lifted
                 for bi in range(ai + 1, len(group)):
-                    i, j = group[ai], group[bi]
-                    u, v = units[i], units[j]
-                    rel = _pair_relation(u, v, self.region)
-                    if rel is DepResult.DEF and self.options.merge_zero_distance:
+                    j = group[bi]
+                    rel = _pair_relation(overlap, facts[ai], facts[bi], self.region)
+                    rels[(i, j)] = rel
+                    if rel is DepResult.DEF and zero_distance:
                         union(i, j)
                     elif (
                         rel is DepResult.MAYBE
-                        and u.lifted
-                        and v.lifted
-                        and self.options.merge_maybe_lifted
+                        and lifted_i
+                        and units[j].lifted
+                        and maybe_lifted
                     ):
                         # Size-reduction rule: merge maybe-overlapping
                         # lifted classes into one maybe class.
@@ -230,6 +288,15 @@ class RegionPartitioner:
             comps.setdefault(find(idx), []).append(idx)
         out: list[ClassInfo] = []
         for root, idxs in comps.items():
+            if len(idxs) == 1:
+                # A unit that merged with nothing is its own final class
+                # (it already holds this region, its members and its
+                # qualifier); only its id is new.
+                merged = units[idxs[0]]
+                merged.class_id = self.next_id()
+                self._parts[merged.class_id] = idxs
+                out.append(merged)
+                continue
             members = [units[k] for k in idxs]
             merged = ClassInfo(
                 class_id=self.next_id(),
@@ -245,15 +312,14 @@ class RegionPartitioner:
                 merged.has_store = merged.has_store or m.has_store
                 if m.equiv is EquivType.MAYBE:
                     merged.equiv = EquivType.MAYBE
-            if find(idxs[0]) in maybe_merged and len(idxs) > 1:
+            if find(idxs[0]) in maybe_merged:
                 merged.equiv = EquivType.MAYBE
             merged.label = self._label(merged, members)
+            self._parts[merged.class_id] = idxs
             out.append(merged)
         return out
 
     def _label(self, merged: ClassInfo, parts: list[ClassInfo]) -> str:
-        if len(parts) == 1:
-            return parts[0].label
         base = merged.base.name if merged.base else "?"
         return f"{base}[*]" if any("[" in p.label for p in parts) else base
 
@@ -280,9 +346,15 @@ class RegionPartitioner:
             return plain.base in self.pts.targets(deref.base)
         if u.base is not v.base:
             return False
-        # Same base, both direct: alias iff they may overlap in-iteration.
-        rel = _pair_relation(u, v, self.region)
-        return rel is not DepResult.NONE
+        # Same base, both direct: alias iff some member pair may overlap
+        # in-iteration.  The units of two such classes share a merge
+        # group, so _merge has related every unit pair already.
+        rel = self._rel
+        return any(
+            rel[(a, b) if a < b else (b, a)] is not DepResult.NONE
+            for a in self._parts[u.class_id]
+            for b in self._parts[v.class_id]
+        )
 
     # -- step 4: loop-carried dependences -------------------------------------
 
@@ -316,11 +388,17 @@ class RegionPartitioner:
         got_maybe = False
         distances: set[tuple[int, bool]] = set()
         any_dist = False
-        for m1 in u.members:
-            for m2 in v.members:
-                if not (m1.is_store or m2.is_store):
+        loop_carried = self.facts.loop_carried
+        fu = self._facts_of_class(u)
+        fv = self._facts_of_class(v)
+        for a, x in enumerate(fu):
+            # Against itself, a class asks (x, y) only: (y, x) is its
+            # mirror (RegionFacts.loop_carried), whose flipped direction
+            # names the same (u, u) entry.
+            for y in fv[a:] if u is v else fv:
+                if not (x.store or y.store):
                     continue
-                res = class_loop_carried(m1, m2, self.region)
+                res = loop_carried(x, y, self.region)
                 if res.result is DepResult.NONE:
                     continue
                 if res.result is DepResult.MAYBE or res.distance is None:

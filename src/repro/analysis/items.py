@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import StorageClass, Symbol
@@ -163,62 +163,63 @@ def _is_memory_name(e: ast.Expr) -> bool:
     )
 
 
-def walk_rvalue(e: ast.Expr) -> Iterator[Access]:
+def walk_rvalue(e: ast.Expr) -> list[Access]:
     """Accesses performed when evaluating ``e`` for its value."""
-    if isinstance(e, (ast.IntLit, ast.FloatLit, ast.StringLit)):
-        return
+    out: list[Access] = []
+    _rvalue(e, out)
+    return out
+
+
+def _rvalue(e: ast.Expr, out: list[Access]) -> None:
+    # Most frequent node classes first; the classes are disjoint.
     if isinstance(e, ast.Name):
         if _is_memory_name(e):
-            yield Access(e, AccessKind.LOAD, e.line)
+            out.append(Access(e, AccessKind.LOAD, e.line))
+        return
+    if isinstance(e, (ast.IntLit, ast.FloatLit, ast.StringLit)):
+        return
+    if isinstance(e, ast.Binary):
+        assert e.lhs is not None and e.rhs is not None
+        _rvalue(e.lhs, out)
+        _rvalue(e.rhs, out)
+        return
+    if isinstance(e, (ast.Index, ast.FieldAccess)):
+        _address(e, out)
+        # Subscripting an array-of-arrays produces an address, not a load.
+        if e.ty is not None and e.ty.is_array:
+            return
+        out.append(Access(e, AccessKind.LOAD, e.line))
+        return
+    if isinstance(e, ast.Assign):
+        _assign(e, out)
+        return
+    if isinstance(e, ast.Call):
+        _call(e, out)
         return
     if isinstance(e, ast.Unary):
         assert e.operand is not None
         if e.op is ast.UnaryOp.DEREF:
-            yield from walk_rvalue(e.operand)
-            yield Access(e, AccessKind.LOAD, e.line)
+            _rvalue(e.operand, out)
+            out.append(Access(e, AccessKind.LOAD, e.line))
             return
         if e.op is ast.UnaryOp.ADDR:
-            yield from walk_address(e.operand)
+            _address(e.operand, out)
             return
-        yield from walk_rvalue(e.operand)
+        _rvalue(e.operand, out)
         return
-    if isinstance(e, ast.Binary):
-        assert e.lhs is not None and e.rhs is not None
-        yield from walk_rvalue(e.lhs)
-        yield from walk_rvalue(e.rhs)
+    if isinstance(e, ast.IncDec):
+        _incdec(e, out)
         return
     if isinstance(e, ast.Conditional):
         assert e.cond and e.then and e.otherwise
-        yield from walk_rvalue(e.cond)
-        yield from walk_rvalue(e.then)
-        yield from walk_rvalue(e.otherwise)
-        return
-    if isinstance(e, ast.Index):
-        yield from walk_address(e)
-        # Subscripting an array-of-arrays produces an address, not a load.
-        if e.ty is not None and e.ty.is_array:
-            return
-        yield Access(e, AccessKind.LOAD, e.line)
-        return
-    if isinstance(e, ast.FieldAccess):
-        yield from walk_address(e)
-        if e.ty is not None and e.ty.is_array:
-            return
-        yield Access(e, AccessKind.LOAD, e.line)
-        return
-    if isinstance(e, ast.Call):
-        yield from walk_call(e)
-        return
-    if isinstance(e, ast.Assign):
-        yield from walk_assign(e)
-        return
-    if isinstance(e, ast.IncDec):
-        yield from walk_incdec(e)
+        _rvalue(e.cond, out)
+        _rvalue(e.then, out)
+        _rvalue(e.otherwise, out)
         return
     raise TypeError(f"unhandled expression {type(e).__name__}")  # pragma: no cover
 
 
-def walk_address(e: ast.Expr) -> Iterator[Access]:
+def _address(e: ast.Expr, out: list[Access]) -> None:
     """Accesses performed when computing the *address* of lvalue ``e``."""
     if isinstance(e, ast.Name):
         return  # frame/global address is a constant
@@ -226,82 +227,82 @@ def walk_address(e: ast.Expr) -> Iterator[Access]:
         assert e.base is not None and e.index is not None
         bty = e.base.ty
         if bty is not None and bty.is_array:
-            yield from walk_address(e.base)
+            _address(e.base, out)
         else:
             # base is a pointer *value*
-            yield from walk_rvalue(e.base)
-        yield from walk_rvalue(e.index)
+            _rvalue(e.base, out)
+        _rvalue(e.index, out)
         return
     if isinstance(e, ast.FieldAccess):
         assert e.base is not None
         if e.arrow:
-            yield from walk_rvalue(e.base)
+            _rvalue(e.base, out)
         else:
-            yield from walk_address(e.base)
+            _address(e.base, out)
         return
     if isinstance(e, ast.Unary) and e.op is ast.UnaryOp.DEREF:
         assert e.operand is not None
-        yield from walk_rvalue(e.operand)
+        _rvalue(e.operand, out)
         return
     # e.g. &(*(p+1)) style constructs fall through above; anything else has
     # no address (semantic analysis rejects it as an lvalue).
     return
 
 
-def walk_store(e: ast.Expr) -> Iterator[Access]:
+def _store(e: ast.Expr, out: list[Access]) -> None:
     """The STORE access to lvalue ``e`` itself (address accesses NOT included)."""
     if isinstance(e, ast.Name):
         if _is_memory_name(e):
-            yield Access(e, AccessKind.STORE, e.line)
+            out.append(Access(e, AccessKind.STORE, e.line))
         return
     if isinstance(e, (ast.Index, ast.FieldAccess)):
-        yield Access(e, AccessKind.STORE, e.line)
+        out.append(Access(e, AccessKind.STORE, e.line))
         return
     if isinstance(e, ast.Unary) and e.op is ast.UnaryOp.DEREF:
-        yield Access(e, AccessKind.STORE, e.line)
+        out.append(Access(e, AccessKind.STORE, e.line))
         return
     raise TypeError(f"not an lvalue: {type(e).__name__}")  # pragma: no cover
 
 
-def _lvalue_load(e: ast.Expr) -> Iterator[Access]:
+def _lvalue_load(e: ast.Expr, out: list[Access]) -> None:
     """A LOAD of lvalue ``e`` (for compound assignment), address NOT included."""
     if isinstance(e, ast.Name):
         if _is_memory_name(e):
-            yield Access(e, AccessKind.LOAD, e.line)
+            out.append(Access(e, AccessKind.LOAD, e.line))
         return
     if isinstance(e, (ast.Index, ast.FieldAccess)):
-        yield Access(e, AccessKind.LOAD, e.line)
+        out.append(Access(e, AccessKind.LOAD, e.line))
         return
     if isinstance(e, ast.Unary) and e.op is ast.UnaryOp.DEREF:
-        yield Access(e, AccessKind.LOAD, e.line)
+        out.append(Access(e, AccessKind.LOAD, e.line))
         return
 
 
-def walk_assign(e: ast.Assign) -> Iterator[Access]:
+def _assign(e: ast.Assign, out: list[Access]) -> None:
     assert e.target is not None and e.value is not None
-    yield from walk_rvalue(e.value)
-    yield from walk_address(e.target)
+    _rvalue(e.value, out)
+    _address(e.target, out)
     if e.op is not ast.AssignOp.ASSIGN:
-        yield from _lvalue_load(e.target)
-    yield from walk_store(e.target)
+        _lvalue_load(e.target, out)
+    _store(e.target, out)
 
 
-def walk_incdec(e: ast.IncDec) -> Iterator[Access]:
+def _incdec(e: ast.IncDec, out: list[Access]) -> None:
     assert e.target is not None
-    yield from walk_address(e.target)
-    yield from _lvalue_load(e.target)
-    yield from walk_store(e.target)
+    _address(e.target, out)
+    _lvalue_load(e.target, out)
+    _store(e.target, out)
 
 
-def walk_call(e: ast.Call) -> Iterator[Access]:
+def _call(e: ast.Call, out: list[Access]) -> None:
     for idx, arg in enumerate(e.args):
-        yield from walk_rvalue(arg)
+        _rvalue(arg, out)
         if idx >= NUM_ARG_REGS:
-            yield Access(e, AccessKind.STORE, e.line, AccessRole.STACK_ARG, arg_index=idx)
-    yield Access(e, AccessKind.CALL, e.line, AccessRole.CALLSITE)
+            out.append(Access(e, AccessKind.STORE, e.line, AccessRole.STACK_ARG, arg_index=idx))
+    out.append(Access(e, AccessKind.CALL, e.line, AccessRole.CALLSITE))
 
 
-def walk_stmt_accesses(stmt: ast.Stmt) -> Iterator[Access]:
+def walk_stmt_accesses(stmt: ast.Stmt) -> list[Access]:
     """Accesses of the statement's *own* expressions, canonical order.
 
     Sub-statements (loop/if bodies) are NOT entered: callers traverse the
@@ -309,43 +310,49 @@ def walk_stmt_accesses(stmt: ast.Stmt) -> Iterator[Access]:
     For ``for`` statements the order is init, cond, step — matching the
     top-test loop layout the back-end emits (init; L: cond; body; step).
     """
+    out: list[Access] = []
+    _stmt_accesses(stmt, out)
+    return out
+
+
+def _stmt_accesses(stmt: ast.Stmt, out: list[Access]) -> None:
     if isinstance(stmt, ast.VarDecl):
         if stmt.init is not None:
-            yield from walk_rvalue(stmt.init)
+            _rvalue(stmt.init, out)
             sym = stmt.symbol
             if isinstance(sym, Symbol) and sym.in_memory and not sym.ty.is_array:
                 name = ast.Name(line=stmt.line, ident=stmt.name)
                 name.symbol = sym
                 name.ty = sym.ty
-                yield Access(name, AccessKind.STORE, stmt.line)
+                out.append(Access(name, AccessKind.STORE, stmt.line))
         return
     if isinstance(stmt, ast.DeclGroup):
         for d in stmt.decls:
-            yield from walk_stmt_accesses(d)
+            _stmt_accesses(d, out)
         return
     if isinstance(stmt, ast.ExprStmt):
         if stmt.expr is not None:
-            yield from walk_rvalue(stmt.expr)
+            _rvalue(stmt.expr, out)
         return
     if isinstance(stmt, ast.If):
         if stmt.cond is not None:
-            yield from walk_rvalue(stmt.cond)
+            _rvalue(stmt.cond, out)
         return
     if isinstance(stmt, ast.For):
         if stmt.init is not None:
-            yield from walk_stmt_accesses(stmt.init)
+            _stmt_accesses(stmt.init, out)
         if stmt.cond is not None:
-            yield from walk_rvalue(stmt.cond)
+            _rvalue(stmt.cond, out)
         if stmt.step is not None:
-            yield from walk_rvalue(stmt.step)
+            _rvalue(stmt.step, out)
         return
     if isinstance(stmt, (ast.While, ast.DoWhile)):
         if stmt.cond is not None:
-            yield from walk_rvalue(stmt.cond)
+            _rvalue(stmt.cond, out)
         return
     if isinstance(stmt, ast.Return):
         if stmt.value is not None:
-            yield from walk_rvalue(stmt.value)
+            _rvalue(stmt.value, out)
         return
     return
 
@@ -355,62 +362,63 @@ def walk_stmt_accesses(stmt: ast.Stmt) -> Iterator[Access]:
 # ---------------------------------------------------------------------------
 
 
+def ref_base(node: ast.Expr) -> tuple[Optional[Symbol], bool]:
+    """``(base, is_deref)`` of access ``node``'s :func:`symbolic_ref`,
+    without building its subscripts."""
+    if isinstance(node, ast.Index):
+        e: ast.Expr = node
+        while isinstance(e, ast.Index):
+            assert e.base is not None
+            e = e.base
+        if isinstance(e, ast.Name) and isinstance(e.symbol, Symbol):
+            return e.symbol, isinstance(e.symbol.ty, PointerType)
+        if isinstance(e, ast.FieldAccess):
+            return ref_base(e)
+        return None, True
+    if isinstance(node, ast.Unary) and node.op is ast.UnaryOp.DEREF:
+        # *p  or  *(p + k)
+        operand = node.operand
+        assert operand is not None
+        if isinstance(operand, ast.Binary) and operand.op in (ast.BinOp.ADD, ast.BinOp.SUB):
+            operand = operand.lhs
+        if isinstance(operand, ast.Name) and isinstance(operand.symbol, Symbol):
+            return operand.symbol, True
+        return None, True
+    if isinstance(node, (ast.Name, ast.FieldAccess)):
+        # a variable, or the struct variable / pointer of ``s.f`` / ``p->f``
+        b = node.base if isinstance(node, ast.FieldAccess) else node
+        sym = b.symbol if isinstance(b, ast.Name) and isinstance(b.symbol, Symbol) else None
+        return sym, isinstance(node, ast.FieldAccess) and node.arrow
+    raise TypeError(f"no symbolic ref for {type(node).__name__}")  # pragma: no cover
+
+
 def symbolic_ref(node: ast.Expr) -> SymbolicRef:
     """Build the analysis-side description of access ``node``."""
-    if isinstance(node, ast.Name):
-        sym = node.symbol if isinstance(node.symbol, Symbol) else None
-        return SymbolicRef(base=sym)
+    base, is_deref = ref_base(node)
     if isinstance(node, ast.Index):
         subs: list[Optional[Affine]] = []
         e: ast.Expr = node
         while isinstance(e, ast.Index):
-            assert e.index is not None
+            assert e.index is not None and e.base is not None
             subs.append(affine_of(e.index))
-            assert e.base is not None
             e = e.base
         subs.reverse()
-        if isinstance(e, ast.Name) and isinstance(e.symbol, Symbol):
-            base = e.symbol
-            deref = isinstance(base.ty, PointerType)
-            return SymbolicRef(base=base, is_deref=deref, subscripts=tuple(subs))
-        if isinstance(e, ast.FieldAccess):
-            inner = symbolic_ref(e)
-            return SymbolicRef(
-                base=inner.base,
-                is_deref=inner.is_deref,
-                subscripts=tuple(subs),
-                field_name=inner.field_name,
-            )
-        return SymbolicRef(base=None, is_deref=True, subscripts=tuple(subs))
+        return SymbolicRef(
+            base=base,
+            is_deref=is_deref,
+            subscripts=tuple(subs),
+            field_name=e.fieldname if isinstance(e, ast.FieldAccess) else None,
+        )
     if isinstance(node, ast.FieldAccess):
-        assert node.base is not None
-        if node.arrow:
-            b = node.base
-            sym = b.symbol if isinstance(b, ast.Name) and isinstance(b.symbol, Symbol) else None
-            return SymbolicRef(base=sym, is_deref=True, field_name=node.fieldname)
-        inner_base = node.base
-        sym = None
-        if isinstance(inner_base, ast.Name) and isinstance(inner_base.symbol, Symbol):
-            sym = inner_base.symbol
-        return SymbolicRef(base=sym, field_name=node.fieldname)
-    if isinstance(node, ast.Unary) and node.op is ast.UnaryOp.DEREF:
+        return SymbolicRef(base=base, is_deref=is_deref, field_name=node.fieldname)
+    if base is not None and isinstance(node, ast.Unary):
         operand = node.operand
-        assert operand is not None
-        # *p  or  *(p + k)
-        if isinstance(operand, ast.Name) and isinstance(operand.symbol, Symbol):
-            return SymbolicRef(base=operand.symbol, is_deref=True)
-        if (
-            isinstance(operand, ast.Binary)
-            and operand.op in (ast.BinOp.ADD, ast.BinOp.SUB)
-            and isinstance(operand.lhs, ast.Name)
-            and isinstance(operand.lhs.symbol, Symbol)
-        ):
-            off = affine_of(operand.rhs) if operand.rhs is not None else None
+        if isinstance(operand, ast.Binary) and operand.rhs is not None:
+            off = affine_of(operand.rhs)
             if off is not None and operand.op is ast.BinOp.SUB:
                 off = -off
-            return SymbolicRef(base=operand.lhs.symbol, is_deref=True, deref_offset=off)
-        return SymbolicRef(base=None, is_deref=True)
-    raise TypeError(f"no symbolic ref for {type(node).__name__}")  # pragma: no cover
+            return SymbolicRef(base=base, is_deref=True, deref_offset=off)
+    return SymbolicRef(base=base, is_deref=is_deref)
 
 
 def ref_for_access(acc: Access) -> Optional[SymbolicRef]:
@@ -427,32 +435,6 @@ def ref_for_access(acc: Access) -> Optional[SymbolicRef]:
 # ---------------------------------------------------------------------------
 # ITEMGEN driver
 # ---------------------------------------------------------------------------
-
-
-def assigned_scalars(e: ast.Expr) -> set[int]:
-    """UIDs of scalar symbols assigned anywhere inside expression ``e``."""
-    out: set[int] = set()
-    for x in ast.walk_exprs(e):
-        target = None
-        if isinstance(x, (ast.Assign, ast.IncDec)):
-            target = x.target
-        if isinstance(target, ast.Name) and isinstance(target.symbol, Symbol):
-            out.add(target.symbol.uid)
-    return out
-
-
-def assigned_in_stmt(stmt: ast.Stmt) -> set[int]:
-    """UIDs of scalar symbols the statement itself assigns (incl. decls)."""
-    out: set[int] = set()
-    for e in ast.stmt_exprs(stmt):
-        out |= assigned_scalars(e)
-    if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        if isinstance(stmt.symbol, Symbol):
-            out.add(stmt.symbol.uid)
-    if isinstance(stmt, ast.DeclGroup):
-        for d in stmt.decls:
-            out |= assigned_in_stmt(d)
-    return out
 
 
 class ItemGenerator:

@@ -32,8 +32,8 @@ from .items import (
     Access,
     AccessKind,
     AccessRole,
-    SymbolicRef,
-    ref_for_access,
+    ref_base,
+    walk_rvalue,
     walk_stmt_accesses,
 )
 
@@ -73,15 +73,6 @@ class EffectSet:
         self.ref |= other.ref
         self.mod |= other.mod
         return (len(self.ref), len(self.mod)) != before
-
-
-def _objects_of_ref(ref: SymbolicRef | None, pts: PointsToResult) -> set:
-    """Abstract objects a symbolic reference may touch."""
-    if ref is None or ref.base is None:
-        return {TOP}
-    if ref.is_deref:
-        return pts.targets(ref.base) or {TOP}
-    return {ref.base}
 
 
 class RefModAnalysis:
@@ -142,7 +133,17 @@ class RefModAnalysis:
         callees: set[str] = set()
         assert fn.body is not None
         for stmt in ast.walk_stmts(fn.body):
-            for acc in walk_stmt_accesses(stmt):
+            # walk_stmts also yields a ``for`` init and the declarations of
+            # a group as statements of their own: enumerate each once.
+            if isinstance(stmt, ast.DeclGroup):
+                continue
+            if isinstance(stmt, ast.For):
+                accesses = [
+                    a for e in (stmt.cond, stmt.step) if e is not None for a in walk_rvalue(e)
+                ]
+            else:
+                accesses = walk_stmt_accesses(stmt)
+            for acc in accesses:
                 self._record(acc, eff)
                 if acc.role is AccessRole.CALLSITE and isinstance(acc.node, ast.Call):
                     callees.add(acc.node.callee)
@@ -157,7 +158,13 @@ class RefModAnalysis:
             return
         if acc.role in (AccessRole.STACK_ARG, AccessRole.ENTRY_PARAM):
             return  # arg-area traffic is call-sequence private
-        objs = _objects_of_ref(ref_for_access(acc), self.pts)
+        base, is_deref = ref_base(acc.node)
+        if base is None:
+            objs = {TOP}
+        elif is_deref:
+            objs = self.pts.targets(base) or {TOP}
+        else:
+            objs = {base}
         if acc.kind is AccessKind.LOAD:
             eff.ref |= objs
         else:

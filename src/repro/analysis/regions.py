@@ -241,7 +241,13 @@ def _upper_bound_of_cond(
 
 
 class RegionTreeBuilder:
-    """Build the region tree of one function (paper Figure 2 structure)."""
+    """Build the region tree of one function (paper Figure 2 structure).
+
+    The same traversal fills every region's ``modified_scalars``: each
+    statement's expressions are walked once, and the scalars they assign
+    are kept in :attr:`assigned` for ITEMGEN's epoch counters, so
+    ITEMGEN walks no expression again.
+    """
 
     def __init__(self, id_counter: Optional[itertools.count] = None) -> None:
         self._ids = id_counter if id_counter is not None else itertools.count(1)
@@ -249,6 +255,11 @@ class RegionTreeBuilder:
         self.loop_regions: dict[int, Region] = {}
         #: Map each statement id() -> its immediately enclosing region.
         self.stmt_region: dict[int, Region] = {}
+        #: uids of the scalars each ITEMGEN group assigns, keyed by the
+        #: group's id(): a loop or ``if`` condition or a ``for`` step
+        #: expression, a ``for`` init statement, or any other statement
+        #: without sub-statements.
+        self.assigned: dict[int, frozenset[int]] = {}
 
     def build(self, fn: ast.FuncDef) -> Region:
         root = Region(
@@ -260,7 +271,7 @@ class RegionTreeBuilder:
         assert fn.body is not None
         for s in fn.body.stmts:
             self._visit(s, root)
-        _collect_modified(root, fn)
+        _propagate_modified(root)
         return root
 
     def _visit(self, stmt: ast.Stmt, region: Region) -> None:
@@ -283,10 +294,18 @@ class RegionTreeBuilder:
                 self.stmt_region[id(stmt.init)] = region
                 for sub in ast.child_stmts(stmt.init):
                     self.stmt_region[id(sub)] = region
+                self._record(stmt.init, region)
+            for e in ast.stmt_exprs(stmt):
+                self._record(e, child)
             body = stmt.body
             if body is not None:
                 self._visit_body(body, child)
             return
+        if isinstance(stmt, ast.If):
+            if stmt.cond is not None:
+                self._record(stmt.cond, region)
+        elif not isinstance(stmt, (ast.Block, ast.DeclGroup)):
+            self._record(stmt, region)
         for sub in ast.child_stmts(stmt):
             self._visit(sub, region)
 
@@ -298,51 +317,43 @@ class RegionTreeBuilder:
         else:
             self._visit(body, region)
 
+    def _record(self, group: ast.Stmt | ast.Expr, region: Region) -> None:
+        """Walk one ITEMGEN group's expressions once; note what it assigns."""
+        syms = _assigned_symbols(group)
+        if syms:
+            region.modified_scalars.update(syms)
+            self.assigned[id(group)] = frozenset(sym.uid for sym in syms)
+        else:
+            self.assigned[id(group)] = _NOTHING
 
-def _collect_modified(root: Region, fn: ast.FuncDef) -> None:
-    """Populate ``modified_scalars`` for every region, propagating upward."""
 
-    def record_expr(e: ast.Expr, region: Region) -> None:
+_NOTHING: frozenset[int] = frozenset()
+
+
+def _assigned_symbols(group: ast.Stmt | ast.Expr) -> list[Symbol]:
+    """Scalar symbols an expression, or a statement's own expressions and
+    declarations, assign (a declaration with an initializer writes its
+    symbol each time the enclosing region iterates)."""
+    out: list[Symbol] = []
+    if isinstance(group, ast.Expr):
+        exprs = [group]
+    else:
+        decls = group.decls if isinstance(group, ast.DeclGroup) else [group]
+        for d in decls:
+            if isinstance(d, ast.VarDecl) and d.init is not None and isinstance(d.symbol, Symbol):
+                out.append(d.symbol)
+        exprs = ast.stmt_exprs(group)
+    for e in exprs:
         for x in ast.walk_exprs(e):
-            target = None
             if isinstance(x, (ast.Assign, ast.IncDec)):
                 target = x.target
-            if isinstance(target, ast.Name) and isinstance(target.symbol, Symbol):
-                for r in region.ancestors():
-                    r.modified_scalars.add(target.symbol)
+                if isinstance(target, ast.Name) and isinstance(target.symbol, Symbol):
+                    out.append(target.symbol)
+    return out
 
-    def record_decl(stmt: ast.Stmt, region: Region) -> None:
-        # A declaration with an initializer writes its symbol each time the
-        # enclosing region iterates.
-        if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-            if isinstance(stmt.symbol, Symbol):
-                for r in region.ancestors():
-                    r.modified_scalars.add(stmt.symbol)
 
-    def visit(stmt: ast.Stmt, current: Region) -> None:
-        record_decl(stmt, current)
-        if isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-            loop_region = next((r for r in current.children if r.stmt is stmt), current)
-            if isinstance(stmt, ast.For) and stmt.init is not None:
-                visit(stmt.init, current)
-            # cond and step run once per iteration: inside the loop region
-            for e in ast.stmt_exprs(stmt):
-                record_expr(e, loop_region)
-            if stmt.body is not None:
-                visit_body(stmt.body, loop_region)
-            return
-        for e in ast.stmt_exprs(stmt):
-            record_expr(e, current)
-        for sub in ast.child_stmts(stmt):
-            visit(sub, current)
-
-    def visit_body(body: ast.Stmt, region: Region) -> None:
-        if isinstance(body, ast.Block):
-            for s in body.stmts:
-                visit(s, region)
-        else:
-            visit(body, region)
-
-    assert fn.body is not None
-    for s in fn.body.stmts:
-        visit(s, root)
+def _propagate_modified(region: Region) -> None:
+    """Fold every region's ``modified_scalars`` into its ancestors'."""
+    for child in region.children:
+        _propagate_modified(child)
+        region.modified_scalars |= child.modified_scalars

@@ -54,12 +54,16 @@ class Affine:
         return dict(self.terms)
 
     def __add__(self, other: "Affine") -> "Affine":
+        if not other.terms:  # self's terms are normalized already
+            return Affine(self.terms, self.const + other.const)
         d = self._as_dict()
         for s, c in other.terms:
             d[s] = d.get(s, 0) + c
         return Affine._normalize(d, self.const + other.const)
 
     def __sub__(self, other: "Affine") -> "Affine":
+        if not other.terms:
+            return Affine(self.terms, self.const - other.const)
         d = self._as_dict()
         for s, c in other.terms:
             d[s] = d.get(s, 0) - c

@@ -345,32 +345,51 @@ class Program(Node):
 # ---------------------------------------------------------------------------
 
 
+#: Child fields of each expression class, in evaluation order (a
+#: ``Call``'s children are its ``args``).
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    IntLit: (),
+    FloatLit: (),
+    StringLit: (),
+    Name: (),
+    Unary: ("operand",),
+    Binary: ("lhs", "rhs"),
+    Conditional: ("cond", "then", "otherwise"),
+    Index: ("base", "index"),
+    FieldAccess: ("base",),
+    Assign: ("value", "target"),
+    IncDec: ("target",),
+}
+#: The same fields backwards, as a walk pushes them onto its stack.
+_CHILD_FIELDS_REVERSED = {cls: fields[::-1] for cls, fields in _CHILD_FIELDS.items()}
+
+
 def child_exprs(e: Expr) -> list[Expr]:
     """Immediate sub-expressions of ``e`` in evaluation order."""
-    if isinstance(e, Unary):
-        return [e.operand] if e.operand else []
-    if isinstance(e, Binary):
-        return [x for x in (e.lhs, e.rhs) if x]
-    if isinstance(e, Conditional):
-        return [x for x in (e.cond, e.then, e.otherwise) if x]
-    if isinstance(e, Index):
-        return [x for x in (e.base, e.index) if x]
-    if isinstance(e, FieldAccess):
-        return [e.base] if e.base else []
     if isinstance(e, Call):
         return list(e.args)
-    if isinstance(e, Assign):
-        return [x for x in (e.value, e.target) if x]
-    if isinstance(e, IncDec):
-        return [e.target] if e.target else []
-    return []
+    children = (getattr(e, name) for name in _CHILD_FIELDS.get(type(e), ()))
+    return [c for c in children if c is not None]
 
 
-def walk_exprs(e: Expr):
-    """Yield ``e`` and all nested sub-expressions, pre-order."""
-    yield e
-    for c in child_exprs(e):
-        yield from walk_exprs(c)
+def walk_exprs(e: Expr) -> list[Expr]:
+    """``e`` and all nested sub-expressions, pre-order, in one iterative walk."""
+    out: list[Expr] = []
+    stack = [e]
+    pop, push, emit = stack.pop, stack.append, out.append
+    fields_of = _CHILD_FIELDS_REVERSED.get
+    while stack:
+        x = pop()
+        emit(x)
+        fields = fields_of(type(x))
+        if fields is None:  # a Call
+            stack.extend(reversed(child_exprs(x)))
+            continue
+        for name in fields:
+            child = getattr(x, name)
+            if child is not None:
+                push(child)
+    return out
 
 
 def stmt_exprs(s: Stmt) -> list[Expr]:
@@ -409,8 +428,12 @@ def child_stmts(s: Stmt) -> list[Stmt]:
     return []
 
 
-def walk_stmts(s: Stmt):
-    """Yield ``s`` and all nested statements, pre-order."""
-    yield s
-    for c in child_stmts(s):
-        yield from walk_stmts(c)
+def walk_stmts(s: Stmt) -> list[Stmt]:
+    """``s`` and all nested statements, pre-order, in one iterative walk."""
+    out: list[Stmt] = []
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(reversed(child_stmts(x)))
+    return out
