@@ -90,7 +90,7 @@ class PointsToAnalysis:
         stmts: dict[str, list[ast.Stmt]] = {}
         for fn in self.program.functions:
             assert fn.body is not None
-            stmts[fn.name] = ast.walk_stmts(fn.body)
+            stmts[fn.name] = ast.walk_own_stmts(fn.body)
         self._collect_addressable(stmts)
         for fn in self.program.functions:
             self._params[fn.name] = [

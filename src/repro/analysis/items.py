@@ -305,13 +305,23 @@ def _call(e: ast.Call, out: list[Access]) -> None:
 def walk_stmt_accesses(stmt: ast.Stmt) -> list[Access]:
     """Accesses of the statement's *own* expressions, canonical order.
 
-    Sub-statements (loop/if bodies) are NOT entered: callers traverse the
-    statement tree themselves so each access lands in the right region.
-    For ``for`` statements the order is init, cond, step — matching the
-    top-test loop layout the back-end emits (init; L: cond; body; step).
+    Sub-statements (loop/if bodies, a ``for`` init) are NOT entered:
+    callers traverse the statement tree themselves so each access lands
+    in the right region.  For ``for`` statements that leaves cond, then
+    step, as :func:`~repro.frontend.ast_nodes.stmt_exprs` gives them.
     """
     out: list[Access] = []
     _stmt_accesses(stmt, out)
+    return out
+
+
+def function_accesses(fn: ast.FuncDef) -> list[Access]:
+    """Every access of ``fn``'s body once, statement by statement in
+    :func:`~repro.frontend.ast_nodes.walk_own_stmts` order."""
+    assert fn.body is not None
+    out: list[Access] = []
+    for stmt in ast.walk_own_stmts(fn.body):
+        _stmt_accesses(stmt, out)
     return out
 
 
@@ -330,31 +340,8 @@ def _stmt_accesses(stmt: ast.Stmt, out: list[Access]) -> None:
         for d in stmt.decls:
             _stmt_accesses(d, out)
         return
-    if isinstance(stmt, ast.ExprStmt):
-        if stmt.expr is not None:
-            _rvalue(stmt.expr, out)
-        return
-    if isinstance(stmt, ast.If):
-        if stmt.cond is not None:
-            _rvalue(stmt.cond, out)
-        return
-    if isinstance(stmt, ast.For):
-        if stmt.init is not None:
-            _stmt_accesses(stmt.init, out)
-        if stmt.cond is not None:
-            _rvalue(stmt.cond, out)
-        if stmt.step is not None:
-            _rvalue(stmt.step, out)
-        return
-    if isinstance(stmt, (ast.While, ast.DoWhile)):
-        if stmt.cond is not None:
-            _rvalue(stmt.cond, out)
-        return
-    if isinstance(stmt, ast.Return):
-        if stmt.value is not None:
-            _rvalue(stmt.value, out)
-        return
-    return
+    for e in ast.stmt_exprs(stmt):
+        _rvalue(e, out)
 
 
 # ---------------------------------------------------------------------------

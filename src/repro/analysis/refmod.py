@@ -28,28 +28,41 @@ from ..frontend import ast_nodes as ast
 from ..frontend.semantic import PURE_EXTERNALS
 from ..frontend.symbols import StorageClass, Symbol, SymbolTable
 from .alias import TOP, HeapObject, PointsToResult
-from .items import (
-    Access,
-    AccessKind,
-    AccessRole,
-    ref_base,
-    walk_rvalue,
-    walk_stmt_accesses,
-)
+from .items import Access, AccessKind, AccessRole, function_accesses, ref_base
 
 
 @dataclass(frozen=True)
 class ForeignObject:
     """Abstract object for storage defined in another translation unit.
 
-    ``name`` is the linker's canonical spelling: a bare name for true
-    globals, ``{unit}::{name}@{line}`` for unit-private storage.  A
+    ``name`` is the linker's canonical spelling, :func:`link_name`.  A
     ForeignObject can never equal a unit's own :class:`Symbol`; overlap
     with local equivalence classes is decided by the HLI builder (a deref
     class whose base may point anywhere may reach foreign storage).
     """
 
     name: str
+
+
+def link_name(obj: object, unit: str) -> str | None:
+    """The linker's canonical spelling of abstract object ``obj`` of
+    translation unit ``unit``.
+
+    A bare name for true globals (they are unified across units),
+    ``{unit}::{name}@{line}`` for unit-private storage (statics,
+    address-taken locals, arrays), ``{unit}::{heap}`` for allocation
+    sites, and ``None`` for storage no other function can name:
+    register-promoted locals and the ``__argslot`` call-sequence area.
+    """
+    if isinstance(obj, HeapObject):
+        return f"{unit}::{obj.name}"
+    if not isinstance(obj, Symbol):
+        return None
+    if obj.storage is StorageClass.GLOBAL:
+        return None if obj.name.startswith("__argslot") else obj.name
+    if obj.storage is StorageClass.STATIC or obj.address_taken or obj.ty.is_array:
+        return f"{unit}::{obj.name}@{obj.line}"
+    return None
 
 
 @dataclass
@@ -90,17 +103,12 @@ class RefModAnalysis:
         self.pts = pts
         self.external_effects = external_effects or {}
         self.effects: dict[str, EffectSet] = {}
-        self._local_effects: dict[str, EffectSet] = {}
         self._callees: dict[str, set[str]] = {}
         self._naming: dict[str, object] | None = None
 
     def run(self) -> dict[str, EffectSet]:
         for fn in self.program.functions:
-            self._local_effects[fn.name] = self._local(fn)
-            self.effects[fn.name] = EffectSet(
-                ref=set(self._local_effects[fn.name].ref),
-                mod=set(self._local_effects[fn.name].mod),
-            )
+            self.effects[fn.name] = self._local(fn)
         # external functions: linker-provided summaries beat the
         # all-clobbering default (whole-program mode); pure builtins are
         # effect-free either way.
@@ -131,22 +139,10 @@ class RefModAnalysis:
     def _local(self, fn: ast.FuncDef) -> EffectSet:
         eff = EffectSet()
         callees: set[str] = set()
-        assert fn.body is not None
-        for stmt in ast.walk_stmts(fn.body):
-            # walk_stmts also yields a ``for`` init and the declarations of
-            # a group as statements of their own: enumerate each once.
-            if isinstance(stmt, ast.DeclGroup):
-                continue
-            if isinstance(stmt, ast.For):
-                accesses = [
-                    a for e in (stmt.cond, stmt.step) if e is not None for a in walk_rvalue(e)
-                ]
-            else:
-                accesses = walk_stmt_accesses(stmt)
-            for acc in accesses:
-                self._record(acc, eff)
-                if acc.role is AccessRole.CALLSITE and isinstance(acc.node, ast.Call):
-                    callees.add(acc.node.callee)
+        for acc in function_accesses(fn):
+            self._record(acc, eff)
+            if acc.role is AccessRole.CALLSITE and isinstance(acc.node, ast.Call):
+                callees.add(acc.node.callee)
         self._callees[fn.name] = callees
         # Local non-escaping variables are invisible to callers: drop them.
         eff.ref = {o for o in eff.ref if self._visible(o, fn)}
@@ -196,30 +192,17 @@ class RefModAnalysis:
         return EffectSet(ref=bind(linked.ref), mod=bind(linked.mod))
 
     def _own_names(self) -> dict[str, object]:
-        """Canonical link-space name -> this parse's abstract object.
-
-        Mirrors the linker's naming scheme (bare names for globals,
-        ``{unit}::{name}@{line}`` for unit-private storage,
-        ``{unit}::{heap}`` for allocation sites) over the current
-        program/table/points-to artifacts.
-        """
+        """:func:`link_name` -> this parse's abstract object, over the
+        current program/table/points-to artifacts."""
         if self._naming is not None:
             return self._naming
         out: dict[str, object] = {}
         unit = self.program.filename
 
-        def add(sym: object) -> None:
-            if not isinstance(sym, Symbol):
-                return
-            if sym.storage is StorageClass.GLOBAL:
-                if not sym.name.startswith("__argslot"):
-                    out[sym.name] = sym
-            elif (
-                sym.storage is StorageClass.STATIC
-                or sym.address_taken
-                or sym.ty.is_array
-            ):
-                out[f"{unit}::{sym.name}@{sym.line}"] = sym
+        def add(obj: object) -> None:
+            name = link_name(obj, unit)
+            if name is not None:
+                out[name] = obj
 
         for sym in self.table.global_scope.names.values():
             add(sym)
@@ -233,19 +216,9 @@ class RefModAnalysis:
         for targets in self.pts.points_to.values():
             for t in targets:
                 if isinstance(t, HeapObject):
-                    out[f"{unit}::{t.name}"] = t
+                    add(t)
         self._naming = out
         return out
-
-    # -- linker accessors -----------------------------------------------------
-
-    def local_effects(self, name: str) -> EffectSet:
-        """Intraprocedural (callee-free) effects of one function."""
-        return self._local_effects[name]
-
-    def callees(self, name: str) -> set[str]:
-        """Direct callee names of one function (after :meth:`run`)."""
-        return set(self._callees.get(name, ()))
 
     def _visible(self, obj, fn: ast.FuncDef) -> bool:
         """Is ``obj`` observable outside ``fn``?

@@ -128,7 +128,7 @@ def _function_refs(fn: ast.FuncDef) -> tuple[set[Symbol], set[str]]:
         if isinstance(p.symbol, Symbol):
             syms.add(p.symbol)
     assert fn.body is not None
-    for stmt in ast.walk_stmts(fn.body):
+    for stmt in ast.walk_own_stmts(fn.body):
         if isinstance(stmt, ast.VarDecl) and isinstance(stmt.symbol, Symbol):
             syms.add(stmt.symbol)
         for e in ast.stmt_exprs(stmt):

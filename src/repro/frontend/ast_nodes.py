@@ -437,3 +437,10 @@ def walk_stmts(s: Stmt) -> list[Stmt]:
         out.append(x)
         stack.extend(reversed(child_stmts(x)))
     return out
+
+
+def walk_own_stmts(s: Stmt) -> list[Stmt]:
+    """:func:`walk_stmts` without ``DeclGroup`` nodes, whose declarations
+    it yields on their own: the :func:`stmt_exprs` of the statements it
+    returns cover every expression under ``s`` exactly once."""
+    return [x for x in walk_stmts(s) if not isinstance(x, DeclGroup)]

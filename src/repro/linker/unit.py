@@ -1,8 +1,10 @@
 """Per-unit analysis artifacts consumed by the whole-program linker.
 
-:func:`analyze_unit` runs the unit-local front-end analyses (Andersen
-points-to plus intraprocedural REF/MOD) and extracts, per function, a
-:class:`LocalSummary` in the linker's *name space*:
+:func:`analyze_unit` runs Andersen points-to over one unit and extracts,
+per function, a :class:`LocalSummary` from REF/MOD's access walk
+(:func:`~repro.analysis.items.function_accesses`, each access once)
+without running REF/MOD's fixpoint.  Summaries live in the linker's
+*name space*, spelled by :func:`~repro.analysis.refmod.link_name`:
 
 * true globals keep their bare name (they are unified across units);
 * unit-private storage (statics, address-taken locals, heap sites) gets a
@@ -23,17 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..analysis.alias import TOP, HeapObject, PointsToResult, analyze_points_to
-from ..analysis.items import (
-    Access,
-    AccessKind,
-    AccessRole,
-    ref_for_access,
-    walk_stmt_accesses,
-)
+from ..analysis.alias import TOP, PointsToResult, analyze_points_to
+from ..analysis.items import Access, AccessKind, AccessRole, function_accesses, ref_base
+from ..analysis.refmod import link_name
 from ..frontend import ast_nodes as ast
-from ..frontend.symbols import StorageClass, Symbol, SymbolTable
-from ..analysis.refmod import RefModAnalysis
+from ..frontend.symbols import Symbol, SymbolTable
 from ..obs import trace
 
 __all__ = [
@@ -86,10 +82,7 @@ class UnitAnalysis:
     program: ast.Program
     table: SymbolTable
     pts: PointsToResult
-    refmod: RefModAnalysis
     locals: dict[str, LocalSummary] = field(default_factory=dict)
-    #: canonical name -> unit-local abstract object (Symbol or HeapObject)
-    naming: dict[str, object] = field(default_factory=dict)
 
     def defined_functions(self) -> list[str]:
         return [fn.name for fn in self.program.functions]
@@ -99,34 +92,8 @@ class _SummaryExtractor:
     """Extract :class:`LocalSummary` values for every function of a unit."""
 
     def __init__(self, unit: UnitAnalysis) -> None:
-        self.unit = unit
+        self.filename = unit.filename
         self.pts = unit.pts
-
-    # -- canonical naming --------------------------------------------------
-
-    def canon(self, obj: object) -> Optional[str]:
-        """Canonical link-space name for an abstract object.
-
-        Returns ``None`` for storage invisible outside its function
-        (register-promoted locals).
-        """
-        u = self.unit
-        if isinstance(obj, HeapObject):
-            name = f"{u.filename}::{obj.name}"
-            u.naming[name] = obj
-            return name
-        if not isinstance(obj, Symbol):
-            return None
-        if obj.storage is StorageClass.GLOBAL:
-            if obj.name.startswith("__argslot"):
-                return None  # call-sequence private arg area
-            u.naming[obj.name] = obj
-            return obj.name
-        if obj.storage is StorageClass.STATIC or obj.address_taken or obj.ty.is_array:
-            name = f"{u.filename}::{obj.name}@{obj.line}"
-            u.naming[name] = obj
-            return name
-        return None
 
     # -- per-access classification ----------------------------------------
 
@@ -137,14 +104,13 @@ class _SummaryExtractor:
             return
         if acc.role in (AccessRole.STACK_ARG, AccessRole.ENTRY_PARAM):
             return
-        ref = ref_for_access(acc)
+        base, is_deref = ref_base(acc.node)
         names: set[str] = set()
         params: set[int] = set()
         any_flag = False
-        if ref is None or ref.base is None:
+        if base is None:
             any_flag = True
-        elif ref.is_deref:
-            base = ref.base
+        elif is_deref:
             raw = self.pts.points_to.get(base) or {TOP}
             for target in raw:
                 if target is TOP or target == TOP:
@@ -154,7 +120,7 @@ class _SummaryExtractor:
                     else:
                         any_flag = True
                 else:
-                    n = self.canon(target)
+                    n = link_name(target, self.filename)
                     if n is not None:
                         names.add(n)
             # A dereferenced parameter always names caller storage, no
@@ -163,7 +129,7 @@ class _SummaryExtractor:
             if idx is not None:
                 params.add(idx)
         else:
-            n = self.canon(ref.base)
+            n = link_name(base, self.filename)
             if n is not None:
                 names.add(n)
         if acc.kind is AccessKind.LOAD:
@@ -183,7 +149,7 @@ class _SummaryExtractor:
         if isinstance(arg, ast.Name) and isinstance(arg.symbol, Symbol):
             sym = arg.symbol
             if sym.ty.is_array:
-                n = self.canon(sym)
+                n = link_name(sym, self.filename)
                 return frozenset((n,)) if n else ANY
             if sym.ty.is_pointer:
                 raw = self.pts.points_to.get(sym) or {TOP}
@@ -194,7 +160,7 @@ class _SummaryExtractor:
                         if idx is not None:
                             return ("param", idx)
                         return ANY
-                    n = self.canon(target)
+                    n = link_name(target, self.filename)
                     if n is None:
                         return ANY
                     names.add(n)
@@ -204,7 +170,7 @@ class _SummaryExtractor:
             while isinstance(base, (ast.Index, ast.FieldAccess)):
                 base = base.base
             if isinstance(base, ast.Name) and isinstance(base.symbol, Symbol):
-                n = self.canon(base.symbol)
+                n = link_name(base.symbol, self.filename)
                 return frozenset((n,)) if n else ANY
             return ANY
         if (
@@ -213,7 +179,7 @@ class _SummaryExtractor:
             and isinstance(arg.lhs.symbol, Symbol)
             and arg.lhs.symbol.ty.is_array
         ):
-            n = self.canon(arg.lhs.symbol)
+            n = link_name(arg.lhs.symbol, self.filename)
             return frozenset((n,)) if n else ANY
         if pointer_like:
             return ANY
@@ -222,46 +188,36 @@ class _SummaryExtractor:
     # -- driver ------------------------------------------------------------
 
     def extract(self, fn: ast.FuncDef) -> LocalSummary:
-        summary = LocalSummary(name=fn.name, unit=self.unit.filename)
+        summary = LocalSummary(name=fn.name, unit=self.filename)
         param_index = {
             id(p.symbol): i
             for i, p in enumerate(fn.params)
             if isinstance(p.symbol, Symbol)
         }
-        assert fn.body is not None
-        for stmt in ast.walk_stmts(fn.body):
-            for acc in walk_stmt_accesses(stmt):
-                self._record(acc, summary, param_index)
-                if acc.role is AccessRole.CALLSITE and isinstance(acc.node, ast.Call):
-                    call = acc.node
-                    summary.calls.append(
-                        CallSite(
-                            callee=call.callee,
-                            line=call.line,
-                            bindings=tuple(
-                                self._binding(a, param_index) for a in call.args
-                            ),
-                        )
+        for acc in function_accesses(fn):
+            self._record(acc, summary, param_index)
+            if acc.role is AccessRole.CALLSITE and isinstance(acc.node, ast.Call):
+                call = acc.node
+                summary.calls.append(
+                    CallSite(
+                        callee=call.callee,
+                        line=call.line,
+                        bindings=tuple(
+                            self._binding(a, param_index) for a in call.args
+                        ),
                     )
+                )
         return summary
 
 
 def analyze_unit(
     program: ast.Program, table: SymbolTable, filename: Optional[str] = None
 ) -> UnitAnalysis:
-    """Run unit-local analyses and extract link-space local summaries."""
+    """Run points-to and extract link-space local summaries."""
     filename = filename or program.filename
     with trace.span("linker.analyze_unit", file=filename):
         pts = analyze_points_to(program, table)
-        refmod = RefModAnalysis(program, table, pts)
-        refmod.run()
-        unit = UnitAnalysis(
-            filename=filename,
-            program=program,
-            table=table,
-            pts=pts,
-            refmod=refmod,
-        )
+        unit = UnitAnalysis(filename=filename, program=program, table=table, pts=pts)
         extractor = _SummaryExtractor(unit)
         for fn in program.functions:
             unit.locals[fn.name] = extractor.extract(fn)

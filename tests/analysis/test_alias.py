@@ -72,6 +72,18 @@ class TestBasicPointsTo:
         targets = pts.targets(p)
         assert any(isinstance(t, HeapObject) for t in targets)
 
+    def test_malloc_in_a_declaration_group_is_one_heap_object(self):
+        prog, pts = solve(
+            "int *keep(int *p) { return p; }\n"
+            "int main() {\n"
+            "    int a, b = *keep(malloc(4));\n"
+            "    return b;\n"
+            "}\n"
+        )
+        p = sym_named(prog, "keep", "p")
+        heap = {t.name for t in pts.points_to[p] if isinstance(t, HeapObject)}
+        assert heap == {"heap@3#1"}
+
     def test_uninitialized_pointer_is_top(self):
         prog, pts = solve("int x;\nvoid f(int *p) { *p = 1; x = 2; }")
         p = sym_named(prog, "f", "p")
