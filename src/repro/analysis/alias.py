@@ -3,8 +3,21 @@
 An Andersen-style inclusion analysis over the whole translation unit.
 Every pointer-typed symbol gets a points-to set of *abstract objects*:
 named variables, one heap object per ``malloc`` call site, and a TOP
-marker for pointers whose value escapes the analysis (externals,
-unanalyzable arithmetic).
+marker for pointers whose value escapes the analysis (loads from
+memory, externals, unanalyzable arithmetic).
+
+One rule, :meth:`PointsToAnalysis._flow`, says what a pointer value
+flowing into a node adds: a local declaration's initializer, an
+assignment to a pointer name, an argument bound to a pointer parameter
+and a ``return`` in a pointer-returning function (into that function's
+return node) are each one flow.  Two rules keep it sound where no flow
+is seen: a pointer whose address is taken holds TOP, since a store
+through memory is not a flow, and a node no flow reaches (an
+uninitialized pointer, a parameter only another unit binds) holds TOP;
+both get TOP before a last propagation pass, so their copies inherit it.
+Values that arrive from other translation units are otherwise unseen:
+a parameter bound both here and in another unit, or a global pointer
+both units assign, keeps only the targets seen here.
 
 The paper's front-end uses exactly this kind of information to build the
 HLI alias table: "all the pointer references that may refer to multiple
@@ -15,8 +28,8 @@ access class to which the pointer reference may refer" (Section 3.1.2).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import Symbol, SymbolTable
@@ -67,22 +80,24 @@ class PointsToResult:
 
 
 class PointsToAnalysis:
-    """Build and solve the inclusion-constraint system for one program."""
+    """Build and solve the inclusion-constraint system for one program.
+
+    The nodes are the pointer-typed symbols plus one return node per
+    defined function, keyed by the function's name; only the symbols
+    reach :attr:`PointsToResult.points_to`.
+    """
 
     def __init__(self, program: ast.Program, table: SymbolTable) -> None:
         self.program = program
         self.table = table
-        self.pts: dict[Symbol, set] = {}
-        #: subset edges p -> q meaning pts(p) ⊆ pts(q)
-        self.edges: dict[Symbol, set[Symbol]] = {}
+        #: node -> abstract objects (and TOP) it may hold
+        self.pts: defaultdict[object, set] = defaultdict(set)
+        #: subset edges src -> dst meaning pts(src) ⊆ pts(dst)
+        self.edges: defaultdict[object, set] = defaultdict(set)
         self.addressable: set = set()
         self._heap_count = 0
-        #: parameter symbols per function name, for interprocedural flow
-        self._params: dict[str, list[Symbol]] = {}
-        #: pointer symbols returned by each function
-        self._returns: dict[str, set[Symbol]] = {}
-        #: call sites: (callee, arg exprs, receiver symbol or None)
-        self._calls: list[tuple[str, list[ast.Expr], Optional[Symbol]]] = []
+        #: parameter symbols of each defined function, by name
+        self._params = {fn.name: [p.symbol for p in fn.params] for fn in program.functions}
 
     # -- public API ---------------------------------------------------------
 
@@ -93,28 +108,43 @@ class PointsToAnalysis:
             stmts[fn.name] = ast.walk_own_stmts(fn.body)
         self._collect_addressable(stmts)
         for fn in self.program.functions:
-            self._params[fn.name] = [
-                p.symbol for p in fn.params if isinstance(p.symbol, Symbol)
-            ]
-        for fn in self.program.functions:
+            returns_pointer = fn.ret is not None and fn.ret.is_pointer
             for stmt in stmts[fn.name]:
+                if isinstance(stmt, ast.VarDecl) and stmt.init is not None:
+                    self._flow(stmt.init, stmt.symbol)
+                elif isinstance(stmt, ast.Return) and stmt.value is not None and returns_pointer:
+                    self._flow(stmt.value, fn.name)
                 for e in ast.stmt_exprs(stmt):
-                    self._visit_expr(e, fn)
-                if isinstance(stmt, ast.Return) and stmt.value is not None:
-                    self._record_return(fn, stmt.value)
-        self._apply_calls()
+                    for x in ast.walk_exprs(e):
+                        if isinstance(x, ast.Assign) and isinstance(x.target, ast.Name):
+                            self._flow(x.value, x.target.symbol)
+                        elif isinstance(x, ast.Call):
+                            for param, arg in zip(self._params.get(x.callee, ()), x.args):
+                                self._flow(arg, param)
         self._solve()
-        return PointsToResult(points_to=self.pts, addressable=self.addressable)
+        # A pointer whose address is taken can be written through memory,
+        # which is no flow, and a node no flow reaches holds what a caller
+        # outside the unit or an uninitialized slot gave it: both hold TOP,
+        # and the last pass hands it on to their copies.
+        for node, s in self.pts.items():
+            if not s or (isinstance(node, Symbol) and node.address_taken):
+                s.add(TOP)
+        self._solve()
+        points_to = {n: s for n, s in self.pts.items() if isinstance(n, Symbol)}
+        return PointsToResult(points_to=points_to, addressable=self.addressable)
 
     # -- universe -------------------------------------------------------------
 
     def _collect_addressable(self, stmts: dict[str, list[ast.Stmt]]) -> None:
-        """Globals, then each function's in-memory locals (``stmts`` holds
-        every function's statements, pre-order)."""
+        """Globals, then each function's in-memory parameters and locals
+        (``stmts`` holds every function's statements, pre-order)."""
         for decl in self.program.globals:
             if isinstance(decl.symbol, Symbol):
                 self.addressable.add(decl.symbol)
         for fn in self.program.functions:
+            for sym in self._params[fn.name]:
+                if isinstance(sym, Symbol) and sym.in_memory:
+                    self.addressable.add(sym)
             for stmt in stmts[fn.name]:
                 if isinstance(stmt, ast.VarDecl) and isinstance(stmt.symbol, Symbol):
                     sym = stmt.symbol
@@ -122,16 +152,6 @@ class PointsToAnalysis:
                         self.addressable.add(sym)
 
     # -- constraint generation ---------------------------------------------------
-
-    def _pts_of(self, sym: Symbol) -> set:
-        s = self.pts.get(sym)
-        if s is None:
-            s = set()
-            self.pts[sym] = s
-        return s
-
-    def _add_edge(self, src: Symbol, dst: Symbol) -> None:
-        self.edges.setdefault(src, set()).add(dst)
 
     def _base_object_of(self, e: ast.Expr):
         """Abstract object whose address expression ``e`` denotes, or TOP."""
@@ -147,123 +167,39 @@ class PointsToAnalysis:
             return self._base_object_of(e.base) if e.base is not None else TOP
         return TOP
 
-    def _pointer_sources(self, e: ast.Expr, fn: ast.FuncDef) -> set:
-        """Abstract values a pointer-typed expression may evaluate to.
-
-        Returns a set of: Symbol objects (address of that variable),
-        HeapObject, TOP, or ``("copy", sym)`` marking a copy of pointer
-        variable ``sym`` (resolved via subset edges).
-        """
-        if isinstance(e, ast.Name) and isinstance(e.symbol, Symbol):
-            sym = e.symbol
-            if isinstance(sym.ty, ArrayType):
-                return {sym}  # array decays to its own address
-            if isinstance(sym.ty, PointerType):
-                return {("copy", sym)}
-            return set()
-        if isinstance(e, ast.Unary) and e.op is ast.UnaryOp.ADDR:
+    def _flow(self, e: ast.Expr | None, node) -> None:
+        """The value of ``e`` flows into ``node`` (a non-pointer symbol
+        takes no part): ``&x``, an array name or ``malloc`` adds an object,
+        a pointer name or a call of a defined function adds a subset edge,
+        and anything else, such as a value loaded from memory, adds TOP."""
+        if isinstance(node, Symbol) and not node.ty.is_pointer:
+            return
+        sym = e.symbol if isinstance(e, ast.Name) else None
+        if isinstance(sym, Symbol) and isinstance(sym.ty, ArrayType):
+            self.pts[node].add(sym)  # an array decays to its own address
+        elif isinstance(sym, Symbol) and isinstance(sym.ty, PointerType):
+            self.edges[sym].add(node)
+        elif isinstance(e, ast.Unary) and e.op is ast.UnaryOp.ADDR:
             assert e.operand is not None
-            return {self._base_object_of(e.operand)}
-        if isinstance(e, ast.Binary) and e.op in (ast.BinOp.ADD, ast.BinOp.SUB):
-            out: set = set()
+            self.pts[node].add(self._base_object_of(e.operand))
+        elif isinstance(e, ast.Binary) and e.op in (ast.BinOp.ADD, ast.BinOp.SUB) and (
+            _is_address(e.lhs) or _is_address(e.rhs)
+        ):
             for side in (e.lhs, e.rhs):
-                if side is not None and side.ty is not None and (
-                    side.ty.is_pointer or side.ty.is_array
-                ):
-                    out |= self._pointer_sources(side, fn)
-            return out or {TOP}
-        if isinstance(e, ast.Call):
-            if e.callee == "malloc":
-                self._heap_count += 1
-                obj = HeapObject(self._heap_count, e.line)
-                self.addressable.add(obj)
-                return {obj}
-            fsym = self.table.lookup_function(e.callee)
-            if fsym is not None and not fsym.external:
-                return {("ret", e.callee)}
-            return {TOP}
-        if isinstance(e, ast.Conditional):
-            out = set()
-            for side in (e.then, e.otherwise):
-                if side is not None:
-                    out |= self._pointer_sources(side, fn)
-            return out
-        if isinstance(e, (ast.Index, ast.FieldAccess, ast.Unary)):
-            # Pointer loaded from memory: sound choice is TOP.
-            return {TOP}
-        return {TOP}
-
-    def _assign_pointer(self, target_sym: Symbol, value: ast.Expr, fn: ast.FuncDef) -> None:
-        for src in self._pointer_sources(value, fn):
-            if isinstance(src, tuple) and src[0] == "copy":
-                self._add_edge(src[1], target_sym)
-            elif isinstance(src, tuple) and src[0] == "ret":
-                self._returns.setdefault(src[1], set())
-                self._calls.append((src[1], [], target_sym))
-            else:
-                self._pts_of(target_sym).add(src)
-
-    def _visit_expr(self, e: ast.Expr, fn: ast.FuncDef) -> None:
-        for x in ast.walk_exprs(e):
-            if isinstance(x, ast.Assign) and x.target is not None and x.value is not None:
-                tty = x.target.ty
-                if (
-                    isinstance(x.target, ast.Name)
-                    and isinstance(x.target.symbol, Symbol)
-                    and tty is not None
-                    and tty.is_pointer
-                ):
-                    self._assign_pointer(x.target.symbol, x.value, fn)
-                elif tty is not None and tty.is_pointer:
-                    # Store of a pointer through memory: everything the
-                    # value may be becomes reachable from TOP-ish objects;
-                    # keep soundness by widening the stored-to object's
-                    # content via a synthetic TOP edge: approximate by
-                    # making the value's copies point TOP-ward is overkill;
-                    # we instead mark nothing (reads through memory already
-                    # return TOP).
-                    pass
-            if isinstance(x, ast.Call):
-                fsym = self.table.lookup_function(x.callee)
-                if fsym is not None and not fsym.external:
-                    self._calls.append((x.callee, list(x.args), None))
-
-    def _record_return(self, fn: ast.FuncDef, value: ast.Expr) -> None:
-        if fn.ret is not None and fn.ret.is_pointer:
-            for src in self._pointer_sources(value, fn):
-                if isinstance(src, tuple) and src[0] == "copy":
-                    self._returns.setdefault(fn.name, set()).add(src[1])
-                elif not isinstance(src, tuple):
-                    # Constant-address return: store via a synthetic symbol.
-                    self._returns.setdefault(fn.name, set())
-                    # Model by adding to every receiver at _apply_calls time;
-                    # stash as a pseudo-entry using None key handled there.
-                    self._returns[fn.name].add(("obj", src))  # type: ignore[arg-type]
-
-    # -- interprocedural wiring ---------------------------------------------------
-
-    def _apply_calls(self) -> None:
-        for callee, args, receiver in self._calls:
-            params = self._params.get(callee, [])
-            for idx, arg in enumerate(args):
-                if idx >= len(params):
-                    break
-                param = params[idx]
-                if param.ty.is_pointer:
-                    fn_dummy = None  # _pointer_sources does not use fn
-                    for src in self._pointer_sources(arg, fn_dummy):  # type: ignore[arg-type]
-                        if isinstance(src, tuple) and src[0] == "copy":
-                            self._add_edge(src[1], param)
-                        elif isinstance(src, tuple) and src[0] == "ret":
-                            pass  # nested call result: conservative skip -> TOP
-                        else:
-                            self._pts_of(param).add(src)
-            if receiver is not None:
-                for entry in self._returns.get(callee, set()):
-                    if isinstance(entry, tuple) and entry[0] == "obj":
-                        self._pts_of(receiver).add(entry[1])
-                    elif isinstance(entry, Symbol):
-                        self._add_edge(entry, receiver)
+                if _is_address(side):
+                    self._flow(side, node)  # arithmetic keeps the base's targets
+        elif isinstance(e, ast.Conditional):
+            self._flow(e.then, node)
+            self._flow(e.otherwise, node)
+        elif isinstance(e, ast.Call) and e.callee == "malloc":
+            self._heap_count += 1
+            obj = HeapObject(self._heap_count, e.line)
+            self.addressable.add(obj)
+            self.pts[node].add(obj)
+        elif isinstance(e, ast.Call) and e.callee in self._params:
+            self.edges[e.callee].add(node)
+        else:
+            self.pts[node].add(TOP)
 
     # -- fixpoint ----------------------------------------------------------------
 
@@ -272,18 +208,18 @@ class PointsToAnalysis:
         while changed:
             changed = False
             for src, dsts in self.edges.items():
-                src_set = self._pts_of(src)
+                src_set = self.pts[src]
                 for dst in dsts:
-                    dst_set = self._pts_of(dst)
+                    dst_set = self.pts[dst]
                     before = len(dst_set)
                     dst_set |= src_set
                     if len(dst_set) != before:
                         changed = True
-        # Pointers with no facts at all (uninitialized, external input)
-        # conservatively get TOP.
-        for sym, s in self.pts.items():
-            if not s:
-                s.add(TOP)
+
+
+def _is_address(e: ast.Expr | None) -> bool:
+    """Is ``e`` a pointer or an array (which decays to one)?"""
+    return e is not None and e.ty is not None and (e.ty.is_pointer or e.ty.is_array)
 
 
 def analyze_points_to(program: ast.Program, table: SymbolTable) -> PointsToResult:

@@ -123,10 +123,20 @@ class HLIBuilder:
         Item, class, and region IDs are allocated from per-unit counters,
         so one function's entry is byte-stable no matter what other
         functions in the file look like — the property the per-function
-        artifact cache relies on.
+        artifact cache relies on.  The ``analysis.*`` counters are added
+        here, so a cold build counts each function once whichever driver
+        path asked for it.
         """
         with trace.span("analysis.unit", fn=fn.name):
-            return _UnitBuilder(fn, self).run()
+            entry, unit = _UnitBuilder(fn, self).run()
+        if metrics.is_enabled():
+            metrics.add("analysis.items", len(unit.items))
+            metrics.add("analysis.regions", len(entry.regions))
+            metrics.add(
+                "analysis.classes", sum(len(r.eq_classes) for r in entry.regions.values())
+            )
+            metrics.add("analysis.overlap_tests", unit.overlap_tests)
+        return entry, unit
 
     def build(self) -> tuple[HLIFile, FrontEndInfo]:
         hli = HLIFile(source_filename=self.program.filename)
@@ -137,14 +147,6 @@ class HLIBuilder:
             entry, unit = self.build_unit(fn)
             hli.add(entry)
             info.units[fn.name] = unit
-            if metrics.is_enabled():
-                metrics.add("analysis.items", len(unit.items))
-                metrics.add("analysis.regions", len(entry.regions))
-                metrics.add(
-                    "analysis.classes",
-                    sum(len(r.eq_classes) for r in entry.regions.values()),
-                )
-                metrics.add("analysis.overlap_tests", unit.overlap_tests)
         return hli, info
 
 

@@ -172,9 +172,11 @@ class RefModAnalysis:
         """Rebind a linker effect set into this parse's object vocabulary.
 
         The adapter ships name-keyed :class:`ForeignObject` markers —
-        :class:`Symbol` identity does not survive a re-parse, and the
-        driver parses each unit once for linking and once for code
-        generation (or restores a cached table from the session cache).
+        :class:`Symbol` identity does not survive a re-parse: the driver
+        parses each unit once and compiles it on its link-phase parse,
+        but lint's HLI006 reference rebuild and a session's lazy
+        ``Compilation.frontend`` parse the unit again and bind the same
+        effects to their own symbols.
         Names that denote this unit's own storage — bare globals,
         ``{this unit}::…`` qualified spellings, heap sites — become the
         matching objects of the *current* parse, so direct equivalence

@@ -149,20 +149,15 @@ class ProgramLowering:
         return self._alloc(name, size)
 
     def _init_globals(self) -> None:
-        """Record constant initializers of global scalars."""
+        """Record the literal initializers of global scalars (semantic
+        analysis rejects any other global initializer)."""
         for decl in self.program.globals:
             sym = decl.symbol
             if not isinstance(sym, Symbol) or decl.init is None:
                 continue
-            value: object
-            if isinstance(decl.init, ast.IntLit):
-                value = decl.init.value
-            elif isinstance(decl.init, ast.FloatLit):
-                value = decl.init.value
-            else:
-                continue
+            assert isinstance(decl.init, (ast.IntLit, ast.FloatLit))
             addr, _ = self.rtl.globals_layout[sym.name]
-            self.rtl.init_data[addr] = value
+            self.rtl.init_data[addr] = decl.init.value
 
 
 class FunctionLowering:

@@ -123,6 +123,13 @@ class SemanticAnalyzer:
     # -- declarations ----------------------------------------------------------
 
     def _declare_global(self, decl: ast.VarDecl) -> None:
+        # Initial memory holds constants only: the back end writes a
+        # literal into the image and has nothing to run for anything else.
+        if decl.init is not None and not isinstance(decl.init, (ast.IntLit, ast.FloatLit)):
+            raise SemanticError(
+                f"initializer of global '{decl.name}' is not an int, char or float literal",
+                self._at(decl.line),
+            )
         storage = StorageClass.STATIC if decl.is_static else StorageClass.GLOBAL
         existing = self.table.global_scope.names.get(decl.name)
         if existing is not None:

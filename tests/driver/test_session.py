@@ -16,7 +16,8 @@ from repro.driver.session import (
     cache_key,
 )
 from repro.machine.executor import execute
-from repro.obs import trace
+from repro.obs import metrics, trace
+from repro.workloads.suite import by_name
 from tests.conftest import FIG2_SOURCE, SIMPLE_MAIN
 
 OTHER_SOURCE = "int x;\nint main() { x = 41; return x + 1; }\n"
@@ -122,6 +123,26 @@ class TestWarmPathSkipsFrontend:
         assert comp.cache_state == "memory"
         assert all(v == "be:memory" for v in comp.fn_cache_states.values())
         assert comp.pipeline_stats.function_runs["schedule"] == []
+
+    def test_cold_compile_records_the_analysis_counters_once(self):
+        names = ("analysis.items", "analysis.regions", "analysis.classes",
+                 "analysis.overlap_tests")
+        source = by_name("wc").source
+
+        def counted(compile_once) -> dict:
+            obs.reset()
+            with obs.enabled_scope():
+                compile_once()
+                counters = metrics.counters()
+            return {n: counters.get(n, 0) for n in names}
+
+        sess = CompilationSession()
+        plain = counted(lambda: compile_source(source, "wc.c"))
+        cold = counted(lambda: sess.compile(source, "wc.c", CompileOptions()))
+        warm = counted(lambda: sess.compile(source, "wc.c", CompileOptions()))
+        assert all(plain.values())
+        assert cold == plain
+        assert warm == dict.fromkeys(names, 0)
 
     def test_new_backend_knobs_rerun_the_backend(self):
         # A warm front end with unseen back-end options must still run

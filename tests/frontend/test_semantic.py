@@ -156,6 +156,40 @@ class TestChecks:
             check("int x;\nvoid f() { x = x.field; }")
 
 
+class TestGlobalInitializers:
+    """Initial memory holds literals only, so anything else is rejected
+    rather than silently left zero by the back end."""
+
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("int x;\nint *gp = &x;\nint main() { *gp = 7; return x; }", 2),
+            ("int n = 1 + 2;\nint main() { return n; }", 1),
+            ("int m = 2;\nint n = m;\nint main() { return n; }", 2),
+            ('char *s = "hi";\nint main() { return 0; }', 1),
+        ],
+    )
+    def test_non_literal_initializer_rejected_at_its_line(self, src, line):
+        with pytest.raises(SemanticError, match="is not an int, char or float literal") as info:
+            parse_and_check(src, "g.c")
+        assert (info.value.pos.filename, info.value.pos.line) == ("g.c", line)
+
+    def test_literals_accepted_and_compiled(self):
+        from repro import compile_source
+        from repro.frontend.interp import interpret
+        from repro.machine.executor import execute
+
+        src = (
+            "int n = -3;\nchar c = 'a';\ndouble d = -0.5;\n"
+            "int main() { return n * 1000 + c + (d < 0.0) * 7; }\n"
+        )
+        prog, _ = check(src)
+        assert [g.init.value for g in prog.globals] == [-3, 97, -0.5]
+        want = -3 * 1000 + 97 + 7
+        assert interpret(prog).ret == want
+        assert execute(compile_source(src, "g.c").rtl, collect_trace=False).ret == want
+
+
 class TestAddressTaken:
     def test_address_of_marks_symbol(self):
         prog, _ = check("void f() { int x; int *p; p = &x; }")
